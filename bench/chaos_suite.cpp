@@ -439,10 +439,10 @@ std::vector<UdpScenario> buildUdpScenarios() {
     scenarios.push_back(std::move(s));
   }
   {
-    // Crash with restart over real sockets: the node thread tears its
-    // process down mid-run and rejoins with a fresh incarnation. This is
-    // the scenario that exercises the flight recorder's crash dump
-    // (epto_flight_udp_crash_restart.jsonl).
+    // Crash with restart over real sockets: the owning shard tears the
+    // node's process down mid-run and it rejoins with a fresh
+    // incarnation. This is the scenario that exercises the flight
+    // recorder's crash dump (epto_flight_udp_crash_restart.jsonl).
     UdpScenario s;
     s.name = "udp_crash_restart";
     s.options.nodeCount = 6;
@@ -496,14 +496,13 @@ std::vector<UdpScenario> buildUdpScenarios() {
     s.options.roundPeriod = 4ms;
     s.options.fanoutOverride = 7;
     s.options.ingressCapacity = 8;
-    s.options.executor = runtime::ExecutorMode::Sharded;
     s.options.shardCount = 2;
     s.minRecvBatchP99 = 1.0;
     for (std::size_t i = 0; i < 8; ++i) s.broadcasts.push_back({i, 256});
     scenarios.push_back(std::move(s));
   }
   {
-    // Mid-run loss spike with the adaptive stack on: each node thread
+    // Mid-run loss spike with the adaptive stack on: each node
     // runs a FeedbackController (src/adapt) off its real ball-arrival
     // shortfall and retunes TTL/K while the spike is live, and every
     // broadcast is Fast-class with speculation enabled — the QoS byte

@@ -24,16 +24,6 @@ epto.bench.figs/1 (figure / ablation harnesses)
     reported upstream but not gated here. No default baseline — pass
     the matching bench/perf/BENCH_<name>.json explicitly.
 
-epto.bench.runtime/1 (bench_runtime, BM_RuntimeThroughput)
-    Gates per-condition `events`/`deliveries` exactly like figs (seeded
-    runs over real sockets still deliver deterministically in the green
-    regime) and requires every condition that was `green` in the
-    baseline to stay green. Latency percentiles and events_per_s are
-    reported but not gated — wall-clock numbers are too noisy on shared
-    runners; the thread-vs-sharded latency gate lives inside the binary
-    itself (it compares two conditions of the SAME run, which cancels
-    machine speed). Default baseline: bench/perf/BENCH_runtime.json.
-
 Baselines live in bench/perf/. Refresh one (rerun the binary with
 --bench-json on a quiet machine, commit the result) whenever an
 intentional change moves the numbers; see EXPERIMENTS.md,
@@ -44,9 +34,8 @@ import sys
 from pathlib import Path
 
 GATED_PREFIX = "BM_OrderingRound"
-SCHEMAS = ("epto.bench.core/1", "epto.bench.figs/1", "epto.bench.runtime/1")
+SCHEMAS = ("epto.bench.core/1", "epto.bench.figs/1")
 DEFAULT_CORE_BASELINE = Path(__file__).resolve().parent / "BENCH_core.json"
-DEFAULT_RUNTIME_BASELINE = Path(__file__).resolve().parent / "BENCH_runtime.json"
 
 
 def last_record(path, schemas=SCHEMAS):
@@ -140,40 +129,6 @@ def check_figs(current, baseline, threshold):
     return 0
 
 
-def check_runtime(current, baseline, threshold):
-    current_conditions = {c["label"]: c for c in current["conditions"]}
-    failed = False
-    for base in baseline["conditions"]:
-        label = base["label"]
-        cur = current_conditions.get(label)
-        if cur is None:
-            print(f"MISSING    {label}: in baseline but not in current run")
-            failed = True
-            continue
-        for field in ("events", "deliveries"):
-            base_v, cur_v = base.get(field, 0), cur.get(field, 0)
-            if base_v == 0:
-                drifted = cur_v != 0
-            else:
-                drifted = abs(cur_v - base_v) > threshold * base_v
-            verdict = "DRIFT" if drifted else "ok"
-            failed = failed or drifted
-            print(f"{verdict:10s} {label}.{field}: {base_v} -> {cur_v}")
-        if base.get("green", False) and not cur.get("green", False):
-            print(f"REGRESSION {label}.green: true -> false "
-                  "(verdicts broke or quiescence timed out)")
-            failed = True
-        # Informational only — see the module docstring.
-        print(f"info       {label}: p50_us {base.get('p50_us', 0)} -> "
-              f"{cur.get('p50_us', 0)}, events_per_s "
-              f"{base.get('events_per_s', 0)} -> {cur.get('events_per_s', 0)}")
-    if failed:
-        print("\nFAIL: runtime bench drifted from the checked-in baseline")
-        return 1
-    print("\nPASS: all runtime conditions within tolerance")
-    return 0
-
-
 def main(argv):
     threshold = None
     positional = []
@@ -190,8 +145,6 @@ def main(argv):
         baseline_path = positional[1]
     elif schema == "epto.bench.core/1":
         baseline_path = DEFAULT_CORE_BASELINE
-    elif schema == "epto.bench.runtime/1":
-        baseline_path = DEFAULT_RUNTIME_BASELINE
     else:
         raise SystemExit(
             f"{positional[0]}: schema {schema} has no default baseline — "
@@ -200,8 +153,6 @@ def main(argv):
 
     if schema == "epto.bench.core/1":
         return check_core(current, baseline, 0.25 if threshold is None else threshold)
-    if schema == "epto.bench.runtime/1":
-        return check_runtime(current, baseline, 0.10 if threshold is None else threshold)
     return check_figs(current, baseline, 0.10 if threshold is None else threshold)
 
 

@@ -1,9 +1,10 @@
 // A real multi-threaded EpTO cluster (§8.5) — no simulator.
 //
-// Ten nodes run on ten OS threads with steady-clock rounds, exchanging
-// balls through an in-memory transport that injects 5% loss and up to
-// 3 ms of delay. Application threads fire broadcasts concurrently; the
-// run ends with the Table 1 verdict and throughput numbers.
+// Ten nodes exchange balls as UDP datagrams over loopback sockets, with
+// steady-clock rounds driven by the sharded executor's worker threads. A
+// whole-run fault plan drops 5% of datagrams at the sender. Application
+// threads fire broadcasts concurrently; the run ends with the Table 1
+// verdict and the delivery delays.
 //
 // A background scrape thread appends the cluster's metric registry as
 // JSONL to /tmp/live_cluster_metrics.jsonl while the run is in flight,
@@ -15,29 +16,32 @@
 #include <sstream>
 #include <thread>
 
-#include "runtime/runtime_cluster.h"
+#include "fault/fault_plan.h"
+#include "runtime/udp_cluster.h"
 
 int main() {
   using namespace epto;
   using namespace std::chrono_literals;
 
-  runtime::RuntimeOptions options;
+  fault::FaultPlan plan;
+  plan.burstLoss(0, /*until=*/3'600'000'000ULL, 0.05);  // every link, whole run
+
+  runtime::UdpClusterOptions options;
   options.nodeCount = 10;
   options.roundPeriod = 3ms;
   options.roundJitter = 0.10;
   options.clockMode = ClockMode::Logical;
-  options.lossRate = 0.05;
-  options.minDelay = 100us;
-  options.maxDelay = 3ms;
+  options.faultPlan = &plan;
   options.seed = 1234;
   options.scrapeInterval = 50ms;
   options.metricsOutPath = "/tmp/live_cluster_metrics.jsonl";
 
-  runtime::RuntimeCluster cluster(options);
-  std::printf("live_cluster: %zu threads, round=%lldus, K=%zu, TTL=%u, 5%% loss\n",
-              options.nodeCount,
-              static_cast<long long>(options.roundPeriod.count()),
-              cluster.fanoutUsed(), cluster.ttlUsed());
+  runtime::UdpCluster cluster(options);
+  std::printf("live_cluster: %zu UDP nodes on %zu shard threads, round=%lldus, K=%zu, "
+              "TTL=%u, 5%% loss\n",
+              options.nodeCount, cluster.shardCountUsed(),
+              static_cast<long long>(options.roundPeriod.count()), cluster.fanoutUsed(),
+              cluster.ttlUsed());
 
   cluster.start();
 
@@ -58,29 +62,26 @@ int main() {
   cluster.stop();
 
   const auto report = cluster.report();
-  const auto transport = cluster.transportStats();
+  const fault::FaultStats faults = cluster.faultController()->stats();
   std::printf("\nbroadcasts=%llu deliveries=%llu (expected %llu)\n",
               static_cast<unsigned long long>(report.broadcasts),
               static_cast<unsigned long long>(report.deliveries),
               static_cast<unsigned long long>(report.broadcasts * options.nodeCount));
-  std::printf("transport: %llu balls sent, %llu dropped by loss injection\n",
-              static_cast<unsigned long long>(transport.sent),
-              static_cast<unsigned long long>(transport.dropped));
+  std::printf("faults: %llu datagrams dropped by loss injection\n",
+              static_cast<unsigned long long>(faults.burstDrops + faults.fragmentDrops));
   if (!report.delays.empty()) {
     std::printf("delivery delay: p50=%.1fms p99=%.1fms\n",
                 static_cast<double>(report.delays.percentile(0.5)) / 1000.0,
                 static_cast<double>(report.delays.percentile(0.99)) / 1000.0);
   }
   // Prometheus-text excerpt: the per-node delivery counters plus the
-  // transport totals (full output is one line per node per metric).
-  std::printf("\nmetrics (excerpt of the Prometheus snapshot; full JSONL series in\n"
-              "%s, %llu scrapes):\n",
-              options.metricsOutPath.c_str(),
-              static_cast<unsigned long long>(cluster.scrapeCount()));
+  // fault totals (full output is one line per node per metric).
+  std::printf("\nmetrics (excerpt of the Prometheus snapshot; full JSONL series in %s):\n",
+              options.metricsOutPath.c_str());
   std::istringstream snapshot(cluster.prometheusSnapshot());
   for (std::string line; std::getline(snapshot, line);) {
     if (line.find("epto_ordering_delivered_ordered_total") != std::string::npos ||
-        line.find("epto_transport_") == 0 || line.rfind("# TYPE epto_transport", 0) == 0) {
+        line.find("epto_fault_") == 0 || line.rfind("# TYPE epto_fault_", 0) == 0) {
       std::printf("  %s\n", line.c_str());
     }
   }
@@ -92,7 +93,7 @@ int main() {
               static_cast<unsigned long long>(report.holes));
   std::printf("result: %s\n",
               drained && report.allPropertiesHold() ? "OK — total order held on real "
-                                                      "threads under loss and delay"
+                                                      "sockets under loss"
                                                     : "FAILED");
   return drained && report.allPropertiesHold() ? 0 : 1;
 }

@@ -25,9 +25,9 @@
 // encodeBall(ball) byte-for-byte, so a fleet mixing old and new nodes
 // interoperates — a new decoder accepts both versions (v1 events carry
 // zeroed lineage), an old decoder rejects v2 frames as BadVersion and
-// the sender falls back by disabling wireLineage. The flags byte keeps
-// future extensions orthogonal; unknown flag bits are rejected because
-// they change the per-event layout. The lineage flag is independent of
+// a sender falls back by encoding with EncodeOptions::lineage off. The
+// flags byte keeps future extensions orthogonal; unknown flag bits are
+// rejected because they change the per-event layout. The lineage flag is independent of
 // EPTO_TRACE: wire lineage is protocol data, not trace plumbing, so an
 // EPTO_TRACE=OFF build still relays it intact.
 //

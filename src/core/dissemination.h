@@ -1,7 +1,7 @@
 // EpTO dissemination component — paper Algorithm 1.
 //
 // The component is sans-io: it never touches a socket or a timer. The
-// driver (discrete-event simulator, threaded runtime, or an application's
+// driver (discrete-event simulator, UDP runtime, or an application's
 // own event loop) calls
 //   * broadcast()  when the application EpTO-broadcasts (Alg. 1 l.6-10),
 //   * onBall()     when a ball arrives from the network (Alg. 1 l.11-19),
@@ -108,7 +108,7 @@ class DisseminationComponent {
   // paper's "procedures executed atomically"); drivers serialize
   // broadcast()/onBall()/onRound() per process, so a lock here would
   // only hide a driver bug. Cross-thread ingress belongs in the driver
-  // (Mailbox/IngressQueue), never in this class.
+  // (the shard mailbox and IngressQueue), never in this class.
 
   /// Merge one id-sorted run of events into nextBall_ (duplicates keep
   /// the existing copy with the max ttl of both; expired run entries are

@@ -1,17 +1,16 @@
 // FaultController — the shared interpreter of a FaultPlan.
 //
 // State is a pure function of (plan, now): the controller is immutable
-// after construction apart from relaxed atomic statistics, so node
-// threads, transports and the discrete simulator can all query it
-// concurrently without coordination, and a run remains deterministic.
+// after construction apart from relaxed atomic statistics, so shard
+// threads and the discrete simulator can all query it concurrently
+// without coordination, and a run remains deterministic.
 //
 // Division of labour: the controller answers "is this node down/stalled
 // at `now`?" and "what happens to a message on this link at `now`?";
-// the host (SimCluster, RuntimeCluster, UdpCluster) enforces the answer
-// — tearing node loops down, skipping rounds, dropping or delaying
-// messages — and reports what it did through the note*() hooks, which
-// feed the fault statistics, the obs metrics registry and the protocol
-// tracer.
+// the host (SimCluster, UdpCluster) enforces the answer — tearing nodes
+// down, skipping rounds, dropping or delaying messages — and reports
+// what it did through the note*() hooks, which feed the fault
+// statistics, the obs metrics registry and the protocol tracer.
 #pragma once
 
 #include <atomic>

@@ -1,13 +1,13 @@
 // Deterministic fault schedules — the "faultscape" the paper's evaluation
 // stresses (§5.4 churn, Fig. 10 loss) generalized into one declarative
-// format shared by the simulator and both real runtimes.
+// format shared by the simulator and the UDP runtime.
 //
 // A FaultPlan is a list of timed FaultSpecs: node crashes (with optional
 // restart), process stalls (the GC-pause scenario the logical clock is
 // designed to survive, §5.3/§8.2), network partitions with a scheduled
 // heal, and burst loss / delay spikes on selected links. Times are in the
 // host's tick domain — simulator ticks for the sim, microseconds since
-// cluster epoch for the threaded/UDP runtimes — so the same plan shape
+// cluster epoch for the UDP runtime — so the same plan shape
 // drives every deployment.
 //
 // Determinism: a plan is a value; building the same plan (or calling

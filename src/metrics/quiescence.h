@@ -1,7 +1,7 @@
 // QuiescenceLedger — fault-aware bookkeeping of which process still owes
 // a delivery of which event.
 //
-// The threaded runtimes used to await quiescence by comparing a single
+// The real-thread runtime used to await quiescence by comparing a single
 // delivery counter against broadcasts * nodeCount, which breaks the
 // moment a node crashes (its deliveries never arrive) or rejoins (it
 // legitimately misses events broadcast while it was down). The ledger
@@ -12,7 +12,7 @@
 // names the concrete (event, processes) pairs still outstanding instead
 // of a bare counter mismatch.
 //
-// Thread safety: none — callers (RuntimeCluster/UdpCluster) already
+// Thread safety: none — callers (UdpCluster) already
 // serialize tracker updates behind a mutex and reuse it for the ledger.
 #pragma once
 

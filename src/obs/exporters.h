@@ -2,7 +2,7 @@
 //
 // Two formats, chosen for the two ways this repository is operated:
 //   * Prometheus text exposition — pull-style scraping of a live cluster
-//     (RuntimeCluster/UdpCluster expose it on demand); counters carry the
+//     (UdpCluster exposes it on demand); counters carry the
 //     `_total` suffix, histograms expand to `_bucket`/`_sum`/`_count`
 //     with cumulative `le` edges, exactly as promtool expects.
 //   * JSONL time series — one self-contained JSON object per scrape, with

@@ -10,8 +10,8 @@
 //
 // Its contents answer "what were the last N protocol decisions before
 // things went wrong": the UDP runtime dumps it when the stall watchdog
-// fires, both runtimes dump it when a fault-plan crash takes a node
-// down, and RuntimeCluster/UdpCluster expose a manual dump API (the
+// fires or a fault-plan crash takes a node down, and UdpCluster exposes
+// a manual dump API (the
 // SIGUSR2 idiom, minus the signal handler). Dumps are JSONL using the
 // same record shape as the tracer, so tools/epto_trace.py reads both.
 //

@@ -20,7 +20,7 @@
 //
 // One recorder per cluster (not per node): the histograms aggregate
 // across nodes the way the paper's figures do, and Histogram::observe is
-// already thread-safe for the threaded runtimes.
+// already thread-safe for the UDP runtime's shard threads.
 #pragma once
 
 #include <atomic>
@@ -43,7 +43,7 @@ struct LatencySample {
 class LatencyRecorder {
  public:
   /// Test hook observing every sample. Install before any node runs;
-  /// invoked from node threads under the threaded runtimes.
+  /// invoked from shard threads under the UDP runtime.
   using Hook = std::function<void(ProcessId node, const EventId& id,
                                   const LatencySample& sample)>;
 

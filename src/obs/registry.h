@@ -3,8 +3,8 @@
 // Named counters, gauges and fixed-bucket histograms, registered once and
 // incremented from hot paths with relaxed atomics (no lock on the write
 // path; registration and snapshotting take a mutex that writers never
-// touch). A Registry is safe to share between every node thread of a
-// RuntimeCluster and a background scrape thread: snapshot() observes each
+// touch). A Registry is safe to share between every shard thread of a
+// UdpCluster and a background scrape thread: snapshot() observes each
 // instrument atomically, so a concurrent scrape sees a consistent,
 // monotonically advancing view of every counter.
 //
@@ -35,7 +35,7 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 enum class Kind : std::uint8_t { Counter, Gauge, Histogram };
 
 /// Monotonically increasing count. set() exists for the mirror pattern:
-/// a node thread that already maintains plain uint64 stats (the sans-io
+/// a shard thread that already maintains plain uint64 stats (the sans-io
 /// core's OrderingStats/DisseminationStats) publishes them by storing the
 /// current value once per round — still monotonic, still race-free.
 class Counter {

@@ -1,10 +1,10 @@
-// ScrapeLoop — background metrics collection for the threaded runtimes.
+// ScrapeLoop — background metrics collection for the UDP runtime.
 //
 // Owns one thread that, every `interval`, (optionally) lets the host
 // refresh derived instruments via the `beforeScrape` hook, snapshots the
 // registry and appends the snapshot as one JSONL record. stop() performs
 // a final scrape so short runs always leave at least one record. The
-// registry's own thread-safety does the heavy lifting: node threads keep
+// registry's own thread-safety does the heavy lifting: shard threads keep
 // storing into atomics while the loop snapshots.
 #pragma once
 

@@ -109,7 +109,7 @@ class InMemorySink final : public TraceSink {
 };
 
 /// Streams each event as one JSON line; the run sink. Line-buffered so an
-/// abrupt crash (chaos scenarios kill node threads mid-round) loses at
+/// abrupt crash (chaos scenarios tear nodes down mid-round) loses at
 /// most the line being written, not a stdio buffer full of tail events.
 /// Each line is emitted with a single fwrite, so concurrent flushes from
 /// different threads interleave whole lines, never fragments.

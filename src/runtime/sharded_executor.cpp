@@ -1,8 +1,5 @@
 #include "runtime/sharded_executor.h"
 
-#include <pthread.h>
-#include <sched.h>
-
 #include <chrono>
 
 #include "check/schedule_point.h"
@@ -57,21 +54,8 @@ ShardedExecutor::~ShardedExecutor() { stop(); }
 void ShardedExecutor::start() {
   EPTO_ENSURE_MSG(!running_.exchange(true), "executor already started");
   stopRequested_.store(false, std::memory_order_release);
-  const unsigned cores = std::max(1U, std::thread::hardware_concurrency());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard* shard = shards_[i].get();
-    const bool pin = options_.pinCores;
-    shard->thread = std::thread([this, shard, i, pin, cores] {
-      if (pin) {
-        cpu_set_t cpus;
-        CPU_ZERO(&cpus);
-        CPU_SET(static_cast<int>(i % cores), &cpus);
-        if (::pthread_setaffinity_np(::pthread_self(), sizeof cpus, &cpus) == 0) {
-          pinnedShards_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      body_(shard->context);
-    });
+  for (auto& shard : shards_) {
+    shard->thread = std::thread([this, raw = shard.get()] { body_(raw->context); });
   }
 }
 

@@ -1,20 +1,19 @@
 // ShardedExecutor — a fixed pool of worker shards, each owning a
 // contiguous slice of protocol nodes.
 //
-// The thread-per-node runtime stops scaling long before the protocol
-// does: at hundreds of nodes the machine spends its time context-
-// switching between threads that each wake for one datagram, run a few
+// A thread per node stops scaling long before the protocol does: at
+// hundreds of nodes the machine spends its time context-switching
+// between threads that each wake for one datagram, run a few
 // microseconds of protocol, and sleep again. This executor inverts the
 // shape — `shardCount` long-lived workers (default: one per hardware
-// thread, optionally pinned to cores) each drive *many* nodes, so node
-// state stays hot in one core's cache and the per-node cost collapses
-// to a timer-wheel entry plus a pollfd slot.
+// thread) each drive *many* nodes, so node state stays hot in one
+// core's cache and the per-node cost collapses to a timer-wheel entry
+// plus a pollfd slot.
 //
 // Ownership model (DESIGN.md §16): every node belongs to exactly one
 // shard for the executor's lifetime, and ALL access to a node's
-// mutable state happens on its owning shard's thread. The old runtime's
-// "node-thread only" invariants carry over verbatim as "owning-shard
-// only". The control plane reaches in through exactly one door: post()
+// mutable state happens on its owning shard's thread ("owning-shard
+// only"). The control plane reaches in through exactly one door: post()
 // enqueues a Command onto the owning shard's SPSC mailbox (external
 // producers serialize on a producer-side mutex; the shard consumes
 // lock-free), and the shard runs it at the top of its next loop
@@ -22,7 +21,7 @@
 // iterations, never mid-round.
 //
 // The executor owns the mechanism (threads, mailboxes, per-shard timer
-// wheels, core pinning, stop protocol); the host supplies the policy as
+// wheels, stop protocol); the host supplies the policy as
 // a ShardBody — the actual poll/ingest/round loop. UdpCluster is the
 // host here; the body contract is to check ctx.stopRequested() at least
 // once per bounded amount of work and to return when it is set.
@@ -50,10 +49,6 @@ struct ShardedExecutorOptions {
   /// Worker shards; 0 means hardware_concurrency (min 1). Clamped to
   /// nodeCount — a shard with no nodes would be a parked thread.
   std::size_t shardCount = 0;
-  /// Best-effort pthread affinity: shard i -> core i % cores. Failure is
-  /// ignored (containers often mask CPUs); pinnedShards() reports how
-  /// many pins took.
-  bool pinCores = false;
   /// Per-shard mailbox capacity (rounded up to a power of two).
   std::size_t mailboxCapacity = 1024;
   /// Timer-wheel slot width and count (one lap = granularity * slots).
@@ -132,10 +127,6 @@ class ShardedExecutor {
   [[nodiscard]] std::uint64_t postRejections() const noexcept {
     return postRejections_.load(std::memory_order_relaxed);
   }
-  /// Shards whose core-affinity request succeeded (0 unless pinCores).
-  [[nodiscard]] std::size_t pinnedShards() const noexcept {
-    return pinnedShards_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Shard {
@@ -154,7 +145,6 @@ class ShardedExecutor {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopRequested_{false};
   std::atomic<std::uint64_t> postRejections_{0};
-  std::atomic<std::size_t> pinnedShards_{0};
 };
 
 }  // namespace epto::runtime

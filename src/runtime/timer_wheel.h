@@ -1,8 +1,8 @@
 // Hashed timer wheel — the per-shard round scheduler.
 //
 // A shard owns many EpTO nodes, each with its own jittered round
-// deadline. The thread-per-node runtime got scheduling for free (every
-// node slept on its own socket until its own deadline); a shard thread
+// deadline. A thread per node would get scheduling for free (every node
+// sleeping on its own socket until its own deadline); a shard thread
 // needs one structure answering two questions cheaply on every loop
 // iteration: "how long may I block in poll()?" (nextDue) and "which
 // nodes' rounds are due now?" (expire). A hashed wheel gives both at

@@ -48,12 +48,24 @@ void storeMax(std::atomic<std::uint64_t>& cell, std::uint64_t value) {
   }
 }
 
+/// Version-2 frames carrying per-event lineage, with per-event QoS
+/// classes when a ball holds a Fast event (codec/ball_codec.h; the
+/// codec's own tests cover the version-1 fallback).
+constexpr codec::EncodeOptions kWireFormat{.lineage = true, .qos = true};
+/// Datagrams drained per recvmmsg() call.
+constexpr std::size_t kRecvBatch = 32;
+/// Send-aggregator flush threshold: datagrams accumulated per node round
+/// before a sendmmsg() flush (the round end always flushes).
+constexpr std::size_t kSendBatch = 64;
+/// Datagrams pulled off one socket per wakeup, so a flood cannot hold
+/// the shard loop past its nodes' rounds.
+constexpr std::size_t kMaxDatagramsPerPoll = 512;
+
 }  // namespace
 
 UdpCluster::UdpCluster(UdpClusterOptions options)
     : options_(options),
       epoch_(std::chrono::steady_clock::now()),
-      masterRng_(options.seed),
       faults_(options.faultPlan != nullptr
                   ? std::make_unique<fault::FaultController>(*options.faultPlan)
                   : nullptr) {
@@ -64,8 +76,6 @@ UdpCluster::UdpCluster(UdpClusterOptions options)
                   "mtuBytes outside [kMinFragmentMtu, kMaxUdpDatagramBytes]");
   EPTO_ENSURE_MSG(options_.ingressCapacity > 0, "ingressCapacity must be positive");
   EPTO_ENSURE_MSG(options_.ingressDrainBudget > 0, "ingressDrainBudget must be positive");
-  EPTO_ENSURE_MSG(options_.maxDatagramsPerPoll > 0,
-                  "maxDatagramsPerPoll must be positive");
   EPTO_ENSURE_MSG(options_.reassemblyCapacity > 0, "reassemblyCapacity must be positive");
   EPTO_ENSURE_MSG(options_.reassemblyTtlRounds > 0,
                   "reassemblyTtlRounds must be positive");
@@ -75,8 +85,6 @@ UdpCluster::UdpCluster(UdpClusterOptions options)
                   "sendBackoff initialDelay must not be negative");
   EPTO_ENSURE_MSG(options_.sendBackoff.multiplier >= 1.0,
                   "sendBackoff multiplier must be at least 1");
-  EPTO_ENSURE_MSG(options_.recvBatch > 0, "recvBatch must be positive");
-  EPTO_ENSURE_MSG(options_.sendBatch > 0, "sendBatch must be positive");
   EPTO_ENSURE_MSG(options_.mailboxCapacity > 0, "mailboxCapacity must be positive");
   if (faults_ != nullptr) {
     EPTO_ENSURE_MSG(faults_->plan().maxNode() < options_.nodeCount,
@@ -124,24 +132,21 @@ UdpCluster::UdpCluster(UdpClusterOptions options)
   // Batched-I/O histograms, registered once so shard hot paths observe
   // through a raw pointer instead of the registry's find-or-create lock.
   // Bounds 1,2,4,...,512: a batch of 1 is the degenerate (unbatched)
-  // case, 512 the maxDatagramsPerPoll ceiling.
+  // case, 512 the kMaxDatagramsPerPoll ceiling.
   recvBatchSize_ = &registry_.histogram("epto_udp_recv_batch_size", {},
                                         obs::Registry::exponentialBounds(1, 2, 10));
   sendBatchSize_ = &registry_.histogram("epto_udp_send_batch_size", {},
                                         obs::Registry::exponentialBounds(1, 2, 10));
 
-  if (options_.executor == ExecutorMode::Sharded) {
-    ShardedExecutorOptions exec;
-    exec.nodeCount = options_.nodeCount;
-    exec.shardCount = options_.shardCount;
-    exec.pinCores = options_.pinShards;
-    exec.mailboxCapacity = options_.mailboxCapacity;
-    executor_ = std::make_unique<ShardedExecutor>(
-        exec, [this](ShardedExecutor::ShardContext& ctx) { shardLoop(ctx); });
-    // Pre-register the per-shard mailbox gauges too.
-    for (std::size_t shard = 0; shard < executor_->shardCount(); ++shard) {
-      registry_.gauge("epto_shard_queue_depth", {{"shard", std::to_string(shard)}});
-    }
+  ShardedExecutorOptions exec;
+  exec.nodeCount = options_.nodeCount;
+  exec.shardCount = options_.shardCount;
+  exec.mailboxCapacity = options_.mailboxCapacity;
+  executor_ = std::make_unique<ShardedExecutor>(
+      exec, [this](ShardedExecutor::ShardContext& ctx) { shardLoop(ctx); });
+  // Pre-register the per-shard mailbox gauges too.
+  for (std::size_t shard = 0; shard < executor_->shardCount(); ++shard) {
+    registry_.gauge("epto_shard_queue_depth", {{"shard", std::to_string(shard)}});
   }
 
   auto scrapeInterval = options_.scrapeInterval;
@@ -218,55 +223,43 @@ void UdpCluster::start() {
   stopRequested_ = false;
   // Fault-plan timestamps are relative to start(), not construction.
   epoch_ = std::chrono::steady_clock::now();
-  if (executor_ != nullptr) {
-    executor_->start();
-  } else {
-    for (auto& node : nodes_) {
-      node->thread = std::thread([this, raw = node.get()] { nodeLoop(*raw); });
-    }
-  }
+  executor_->start();
   if (scrape_ != nullptr) scrape_->start();
 }
 
 void UdpCluster::broadcast(std::size_t index, PayloadPtr payload, QosClass qos) {
   EPTO_ENSURE_MSG(index < nodes_.size(), "node index out of range");
   NodeState& node = *nodes_[index];
+  requestedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
   if (!node.up.load(std::memory_order_acquire)) {
     discardedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
-    requestedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (executor_ != nullptr) {
-    // Mailbox protocol (DESIGN.md §16): the request crosses into the
-    // owning shard as a command; the shard appends it to the pending
-    // list between loop iterations. pendingBroadcasts stays mutex-
-    // guarded so the annotation (and the not-yet-started / already-
-    // stopped inline fallback below) remain sound.
-    ShardedExecutor::Command command(
-        [&node, payloadHeld = std::move(payload), qos]() mutable {
-          const util::MutexLock lock(node.broadcastMutex);
-          node.pendingBroadcasts.push_back(PendingBroadcast{std::move(payloadHeld), qos});
-        });
-    while (running_.load(std::memory_order_acquire)) {
-      if (executor_->post(index, std::move(command))) {
-        requestedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      // Full mailbox: the shard drains every loop iteration, so this
-      // clears within one poll timeout.
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    // No shard is consuming (cluster not started, or stopping): run the
-    // command inline — still safe, the list is mutex-guarded.
-    command();
-    requestedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  // Mailbox protocol (DESIGN.md §16): the request crosses into the
+  // owning shard as a command; the shard appends it to the pending list
+  // between loop iterations. The node may have crashed since the check
+  // above, so the command re-checks on the shard, which owns `up`: a
+  // request reaching a down node is settled as discarded, never left for
+  // a later incarnation to inject. pendingBroadcasts stays mutex-guarded
+  // so the annotation (and the inline fallback below) remain sound.
+  ShardedExecutor::Command command(
+      [this, &node, payloadHeld = std::move(payload), qos]() mutable {
+        if (!node.up.load(std::memory_order_relaxed)) {
+          discardedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+        const util::MutexLock lock(node.broadcastMutex);
+        node.pendingBroadcasts.push_back(PendingBroadcast{std::move(payloadHeld), qos});
+      });
+  while (running_.load(std::memory_order_acquire)) {
+    if (executor_->post(index, std::move(command))) return;
+    // Full mailbox: the shard drains every loop iteration, so this
+    // clears within one poll timeout.
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
-  {
-    const util::MutexLock lock(node.broadcastMutex);
-    node.pendingBroadcasts.push_back(PendingBroadcast{std::move(payload), qos});
-  }
-  requestedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
+  // No shard is consuming (cluster not started, or stopping): run the
+  // command inline — still safe, the list is mutex-guarded.
+  command();
 }
 
 bool UdpCluster::nodeDown(std::size_t index) const {
@@ -331,34 +324,29 @@ void UdpCluster::leaveCrash(NodeState& node) {
   node.up.store(true, std::memory_order_release);
 }
 
-void UdpCluster::sendDatagram(NodeState& node, std::uint16_t port, bool isFragment,
-                              const std::vector<std::byte>& frame, util::Rng& rng) {
-  const SendOutcome outcome =
-      sendWithBackoff(node.socket, port, frame, options_.sendBackoff, rng);
-  if (outcome.retries > 0) {
-    sendRetries_.fetch_add(static_cast<std::uint64_t>(outcome.retries),
-                           std::memory_order_relaxed);
-  }
-  switch (outcome.status) {
-    case SendStatus::Sent:
-      if (isFragment) fragmentsSent_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case SendStatus::Transient:
-      sendFailuresTransient_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case SendStatus::Hard:
-      sendFailuresHard_.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
-}
-
-void UdpCluster::flushHeldBack(NodeState& node, util::Rng& rng) {
+void UdpCluster::flushHeldBack(NodeState& node) {
   if (node.heldBack.empty()) return;
   const auto now = std::chrono::steady_clock::now();
   auto due = std::partition(node.heldBack.begin(), node.heldBack.end(),
                             [now](const HeldDatagram& d) { return d.due > now; });
   for (auto it = due; it != node.heldBack.end(); ++it) {
-    sendDatagram(node, it->port, it->isFragment, it->frame, rng);
+    const SendOutcome outcome =
+        sendWithBackoff(node.socket, it->port, it->frame, options_.sendBackoff, node.rng);
+    if (outcome.retries > 0) {
+      sendRetries_.fetch_add(static_cast<std::uint64_t>(outcome.retries),
+                             std::memory_order_relaxed);
+    }
+    switch (outcome.status) {
+      case SendStatus::Sent:
+        if (it->isFragment) fragmentsSent_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case SendStatus::Transient:
+        sendFailuresTransient_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case SendStatus::Hard:
+        sendFailuresHard_.fetch_add(1, std::memory_order_relaxed);
+        break;
+    }
   }
   node.heldBack.erase(due, node.heldBack.end());
 }
@@ -519,14 +507,12 @@ void UdpCluster::publishTransportMetrics() {
   registry_.counter("epto_trace_dropped_total").set(obs::Tracer::global().dropped());
   registry_.counter("epto_flight_dropped_total")
       .set(obs::FlightRecorder::global().dropped());
-  if (executor_ != nullptr) {
-    for (std::size_t shard = 0; shard < executor_->shardCount(); ++shard) {
-      registry_.gauge("epto_shard_queue_depth", {{"shard", std::to_string(shard)}})
-          .set(static_cast<std::int64_t>(executor_->mailboxDepth(shard)));
-    }
-    registry_.counter("epto_shard_post_rejections_total")
-        .set(executor_->postRejections());
+  for (std::size_t shard = 0; shard < executor_->shardCount(); ++shard) {
+    registry_.gauge("epto_shard_queue_depth", {{"shard", std::to_string(shard)}})
+        .set(static_cast<std::int64_t>(executor_->mailboxDepth(shard)));
   }
+  registry_.counter("epto_shard_post_rejections_total").set(executor_->postRejections());
+  if (faults_ != nullptr) faults_->recordTo(registry_);
 }
 
 std::size_t UdpCluster::dumpFlightRecorder(const std::string& path,
@@ -540,56 +526,28 @@ std::chrono::microseconds UdpCluster::jitteredPeriod(util::Rng& rng) const {
       std::max(1.0, static_cast<double>(options_.roundPeriod.count()) * factor)));
 }
 
-/// ThreadPerNode sink: one sendto() per datagram, exactly the PR 3 path.
-/// A fragmented fanout is a long send burst (hundreds of syscalls); a
-/// loop that ignores its socket that whole time lets concurrent bursts
-/// from peers overflow the kernel receive buffer and lose fragments
-/// every round. Interleave bounded drains so sending never starves
-/// receiving.
-class UdpCluster::ImmediateSink final : public UdpCluster::DatagramSink {
+/// Aggregates a round's datagrams and flushes them through one (or a
+/// few) sendmmsg() syscalls on the node's socket. A fragmented fanout is
+/// a long send burst; a loop that ignored its socket that whole time
+/// would let concurrent bursts from peers overflow the kernel receive
+/// buffer and lose fragments every round. So every flush is followed by
+/// a bounded recvmmsg drain, and a jumbo fanout cannot starve ingress.
+class UdpCluster::BatchSink {
  public:
-  explicit ImmediateSink(UdpCluster& cluster) : cluster_(cluster) {}
+  explicit BatchSink(UdpCluster& cluster) : cluster_(cluster) {}
 
   void send(NodeState& node, std::uint16_t port, bool isFragment,
-            const std::vector<std::byte>& frame, util::Rng& rng) override {
-    cluster_.sendDatagram(node, port, isFragment, frame, rng);
-    if (++sentSinceDrain_ < 32) return;
-    sentSinceDrain_ = 0;
-    for (std::size_t budget = 64; budget > 0; --budget) {
-      auto datagram = node.socket.receive(0);
-      if (!datagram.has_value()) break;
-      cluster_.ingestDatagram(node, *datagram);
-    }
-  }
-
-  void flush(NodeState& /*node*/, util::Rng& /*rng*/) override { sentSinceDrain_ = 0; }
-
- private:
-  UdpCluster& cluster_;
-  std::size_t sentSinceDrain_ = 0;
-};
-
-/// Sharded sink: aggregate the round's datagrams and flush them through
-/// one (or a few) sendmmsg() syscalls on the node's socket. The PR 3
-/// send/receive interleave invariant carries over at flush granularity:
-/// every flush is followed by a bounded recvmmsg drain, so a jumbo
-/// fanout still cannot starve ingress.
-class UdpCluster::BatchSink final : public UdpCluster::DatagramSink {
- public:
-  BatchSink(UdpCluster& cluster, std::size_t flushThreshold)
-      : cluster_(cluster), flushThreshold_(flushThreshold) {}
-
-  void send(NodeState& node, std::uint16_t port, bool isFragment,
-            const std::vector<std::byte>& frame, util::Rng& rng) override {
+            const std::vector<std::byte>& frame) {
     pending_.push_back(OutgoingDatagram{port, &frame, isFragment});
-    if (pending_.size() >= flushThreshold_) flush(node, rng);
+    if (pending_.size() >= kSendBatch) flush(node);
   }
 
-  void flush(NodeState& node, util::Rng& rng) override {
+  /// End of the round's send burst (queued frames die after this).
+  void flush(NodeState& node) {
     if (pending_.empty()) return;
     cluster_.sendBatchSize_->observe(static_cast<double>(pending_.size()));
-    const BatchSendOutcome outcome =
-        sendBatchWithBackoff(node.socket, pending_, cluster_.options_.sendBackoff, rng);
+    const BatchSendOutcome outcome = sendBatchWithBackoff(
+        node.socket, pending_, cluster_.options_.sendBackoff, node.rng);
     pending_.clear();
     if (outcome.retries > 0) {
       cluster_.sendRetries_.fetch_add(static_cast<std::uint64_t>(outcome.retries),
@@ -606,22 +564,20 @@ class UdpCluster::BatchSink final : public UdpCluster::DatagramSink {
     if (outcome.hardLost > 0) {
       cluster_.sendFailuresHard_.fetch_add(outcome.hardLost, std::memory_order_relaxed);
     }
-    // PR 3 invariant: a send burst never starves receiving. Bounded,
-    // drain-interleaved ingest (same path as the poll loop, so a chunky
-    // backlog cannot overflow the ingress bound mid-push).
+    // Bounded, drain-interleaved ingest (same path as the poll loop, so
+    // a chunky backlog cannot overflow the ingress bound mid-push).
     cluster_.batchIngest(node, drainScratch_);
   }
 
  private:
   UdpCluster& cluster_;
-  std::size_t flushThreshold_;
   std::vector<OutgoingDatagram> pending_;
   std::vector<UdpSocket::Datagram> drainScratch_;
 };
 
-bool UdpCluster::runNodeRound(NodeState& node, util::Rng& rng,
+bool UdpCluster::runNodeRound(NodeState& node, Timestamp now,
                               std::chrono::steady_clock::duration lateness,
-                              DatagramSink& sink) {
+                              BatchSink& sink) {
   using Clock = std::chrono::steady_clock;
   ++node.roundCounter;
   node.reassembler.evictExpired(node.roundCounter);
@@ -634,41 +590,40 @@ bool UdpCluster::runNodeRound(NodeState& node, util::Rng& rng,
   }
   for (PendingBroadcast& request : pending) {
     const Event event = node.process->broadcast(std::move(request.payload), request.qos);
-    const std::vector<ProcessId> expected = upNodes();
     const util::MutexLock lock(trackerMutex_);
-    tracker_.onBroadcast(node.id, event.id, event.orderKey(), ticksNow());
-    ledger_.onBroadcast(event.id, expected);
+    tracker_.onBroadcast(node.id, event.id, event.orderKey(), now);
+    // Read the live set under the lock: enterCrash() on another shard
+    // marks its node down before it takes this lock to erase the node's
+    // debts, so the crash is either visible here or still to come.
+    ledger_.onBroadcast(event.id, upNodes());
   }
 
   const auto out = node.process->onRound();
   if (out.ball != nullptr) {
-    const auto frame = codec::encodeBall(
-        *out.ball, codec::EncodeOptions{.lineage = options_.wireLineage,
-                                        .qos = options_.wireQos});
+    const auto frame = codec::encodeBall(*out.ball, kWireFormat);
     const std::uint64_t ballId =
         (static_cast<std::uint64_t>(node.id) << 32) | ++node.fragmentSeq;
     const auto datagrams = codec::fragmentFrame(frame, options_.mtuBytes, ballId);
     const bool fragmented = datagrams.size() > 1;
     if (fragmented) ballsFragmented_.fetch_add(1, std::memory_order_relaxed);
-    const Timestamp tnow = ticksNow();
     for (const ProcessId target : out.targets) {
       fault::FaultController::LinkFate fate;
       if (faults_ != nullptr) {
-        fate = faults_->linkFate(node.id, target, tnow);
+        fate = faults_->linkFate(node.id, target, now);
         if (fate.cut) {
-          faults_->noteLinkDrop(node.id, target, tnow, fate.cutBy);
+          faults_->noteLinkDrop(node.id, target, now, fate.cutBy);
           continue;
         }
-        if (fate.extraDelay > 0) faults_->noteDelayed(node.id, target, tnow);
+        if (fate.extraDelay > 0) faults_->noteDelayed(node.id, target, now);
       }
       for (const auto& datagram : datagrams) {
         // Burst loss rolls per datagram — fragment granularity: one
         // lost fragment costs one ball copy, not the whole fanout.
-        if (fate.extraLossRate > 0.0 && rng.chance(fate.extraLossRate)) {
+        if (fate.extraLossRate > 0.0 && node.rng.chance(fate.extraLossRate)) {
           if (fragmented) {
-            faults_->noteFragmentDrop(node.id, target, tnow);
+            faults_->noteFragmentDrop(node.id, target, now);
           } else {
-            faults_->noteLinkDrop(node.id, target, tnow, fault::FaultKind::BurstLoss);
+            faults_->noteLinkDrop(node.id, target, now, fault::FaultKind::BurstLoss);
           }
           continue;
         }
@@ -679,14 +634,12 @@ bool UdpCluster::runNodeRound(NodeState& node, util::Rng& rng,
               ports_[target], fragmented, datagram});
           continue;
         }
-        sink.send(node, ports_[target], fragmented, datagram, rng);
+        sink.send(node, ports_[target], fragmented, datagram);
       }
     }
     // Flush while `datagrams` is still alive — the batch sink holds
     // non-owning frame pointers into it.
-    sink.flush(node, rng);
-  } else {
-    sink.flush(node, rng);
+    sink.flush(node);
   }
   if (node.controller != nullptr) {
     // Close the feedback loop on this node's own observations.
@@ -723,96 +676,26 @@ bool UdpCluster::runNodeRound(NodeState& node, util::Rng& rng,
   return false;
 }
 
-void UdpCluster::nodeLoop(NodeState& node) {
-  using Clock = std::chrono::steady_clock;
-  node.rng = util::Rng(util::mix64(options_.seed ^ 0xDA7A6A4Dull) ^ node.id);
-  node.stallNoted = false;
-  node.nextRound = Clock::now() + jitteredPeriod(node.rng);
-  ImmediateSink sink(*this);
-  while (!stopRequested_.load(std::memory_order_relaxed)) {
-    if (faults_ != nullptr) {
-      const Timestamp tnow = ticksNow();
-      if (faults_->isCrashed(node.id, tnow)) {
-        if (node.up.load(std::memory_order_relaxed)) enterCrash(node);
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      if (!node.up.load(std::memory_order_relaxed)) {
-        leaveCrash(node);
-        node.nextRound = Clock::now() + jitteredPeriod(node.rng);
-      }
-      if (faults_->isStalled(node.id, tnow)) {
-        // GC-pause model: no receives, no rounds; the OS buffers traffic
-        // and the node catches up afterwards.
-        if (!node.stallNoted) {
-          node.stallNoted = true;
-          faults_->noteStall(node.id, tnow);
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        node.nextRound = Clock::now() + jitteredPeriod(node.rng);
-        continue;
-      }
-      node.stallNoted = false;
-      flushHeldBack(node, node.rng);
-    }
-
-    // Receive until the round boundary; poll() granularity is 1ms, so
-    // short remainders degrade to a non-blocking check. After the first
-    // (possibly blocking) datagram, drain whatever else the kernel has
-    // queued — bounded so a flood cannot hold the loop past its round.
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        node.nextRound - Clock::now());
-    const int timeout = static_cast<int>(std::clamp<long>(remaining.count(), 0, 50));
-    std::size_t polled = 0;
-    for (auto datagram = node.socket.receive(timeout); datagram.has_value();
-         datagram = node.socket.receive(0)) {
-      ingestDatagram(node, *datagram);
-      if (++polled >= options_.maxDatagramsPerPoll) break;
-    }
-
-    // Hand a bounded batch to the protocol; the rest stays queued (and
-    // is shed oldest-first by the ingress bound if the backlog wins).
-    for (std::size_t budget = options_.ingressDrainBudget; budget > 0; --budget) {
-      auto ball = node.ingress.pop();
-      if (!ball.has_value()) break;
-      node.process->onBall(*ball);
-    }
-
-    const auto boundaryNow = Clock::now();
-    if (boundaryNow < node.nextRound) continue;
-    const auto lateness = boundaryNow - node.nextRound;
-    const bool recovered = runNodeRound(node, node.rng, lateness, sink);
-    node.nextRound = recovered ? Clock::now() + jitteredPeriod(node.rng)
-                               : node.nextRound + jitteredPeriod(node.rng);
-  }
-  // Sheds/evictions from the final partial round still reach the
-  // cluster counters.
-  publishNodeCounters(node);
-}
-
 void UdpCluster::batchIngest(NodeState& node, std::vector<UdpSocket::Datagram>& scratch) {
   std::size_t polled = 0;
-  while (polled < options_.maxDatagramsPerPoll) {
+  while (polled < kMaxDatagramsPerPoll) {
     scratch.clear();
-    const std::size_t want =
-        std::min(options_.recvBatch, options_.maxDatagramsPerPoll - polled);
+    const std::size_t want = std::min(kRecvBatch, kMaxDatagramsPerPoll - polled);
     const std::size_t got = node.socket.receiveBatch(scratch, want, /*timeoutMillis=*/0);
     if (got == 0) break;
     recvBatchSize_->observe(static_cast<double>(got));
-    // Drain interleaves per datagram, not per chunk. In thread mode
-    // every arrival burst is its own poll wakeup and earns a full
-    // ingressDrainBudget; one shard wakeup covers MANY senders' flushes
-    // at once (a recvmmsg chunk can hold a whole cluster round), so a
-    // flat per-wakeup budget would both drain too slowly and overflow
-    // the ingress bound mid-push — and because one thread drives every
-    // owned node on one schedule, the overflow pattern is IDENTICAL at
-    // every peer: the oldest-first shed cuts the same sender's ball
-    // everywhere, correlated first-hop loss that EpTO's relay
-    // redundancy cannot repair (an origin sends its ball exactly once).
-    // Interleaving a budget after each datagram restores the
-    // thread-mode cadence, keeps the queue from overflowing on chunky
-    // arrivals, and bounds the per-wakeup work by
-    // maxDatagramsPerPoll * (decode + ingressDrainBudget).
+    // Drain interleaves per datagram, not per chunk. One shard wakeup
+    // covers MANY senders' flushes at once (a recvmmsg chunk can hold a
+    // whole cluster round), so a flat per-wakeup budget would both drain
+    // too slowly and overflow the ingress bound mid-push — and because
+    // one thread drives every owned node on one schedule, the overflow
+    // pattern is IDENTICAL at every peer: the oldest-first shed cuts the
+    // same sender's ball everywhere, correlated first-hop loss that
+    // EpTO's relay redundancy cannot repair (an origin sends its ball
+    // exactly once). Granting a full ingressDrainBudget after each
+    // datagram keeps the queue from overflowing on chunky arrivals and
+    // bounds the per-wakeup work by
+    // kMaxDatagramsPerPoll * (decode + ingressDrainBudget).
     for (const auto& datagram : scratch) {
       ingestDatagram(node, datagram);
       for (std::size_t budget = options_.ingressDrainBudget; budget > 0; --budget) {
@@ -827,18 +710,21 @@ void UdpCluster::batchIngest(NodeState& node, std::vector<UdpSocket::Datagram>& 
 }
 
 void UdpCluster::serviceDueNode(std::size_t index, ShardedExecutor::ShardContext& ctx,
-                                DatagramSink& sink) {
+                                BatchSink& sink) {
   using Clock = std::chrono::steady_clock;
   NodeState& node = *nodes_[index];
   const auto reschedule = [&](Clock::time_point at) {
     node.nextRound = at;
     ctx.wheel().schedule(static_cast<std::uint32_t>(index), at);
   };
+  // One timestamp for the whole round: a round that passed the crash
+  // gate below must not see its own node crashed when it asks for link
+  // fates, or it would record broadcasts no copy of which ever leaves.
+  const Timestamp now = ticksNow();
   if (faults_ != nullptr) {
-    const Timestamp tnow = ticksNow();
-    if (faults_->isCrashed(node.id, tnow)) {
+    if (faults_->isCrashed(node.id, now)) {
       if (node.up.load(std::memory_order_relaxed)) enterCrash(node);
-      // Re-check at the thread loop's crash-poll cadence.
+      // Re-check every millisecond.
       reschedule(Clock::now() + std::chrono::milliseconds(1));
       return;
     }
@@ -847,26 +733,26 @@ void UdpCluster::serviceDueNode(std::size_t index, ShardedExecutor::ShardContext
       reschedule(Clock::now() + jitteredPeriod(node.rng));
       return;
     }
-    if (faults_->isStalled(node.id, tnow)) {
+    if (faults_->isStalled(node.id, now)) {
       // GC-pause model: no receives (the poll set skips the node), no
       // rounds; the OS buffers traffic for the catch-up afterwards.
       if (!node.stallNoted) {
         node.stallNoted = true;
-        faults_->noteStall(node.id, tnow);
+        faults_->noteStall(node.id, now);
       }
       reschedule(Clock::now() + std::chrono::milliseconds(1));
       return;
     }
     if (node.stallNoted) {
-      // Stall just ended: mirror the thread loop, which re-anchors one
-      // period out before running its next round.
+      // Stall just ended: re-anchor one period out before the next
+      // round, so the catch-up starts with a full receive window.
       node.stallNoted = false;
       reschedule(Clock::now() + jitteredPeriod(node.rng));
       return;
     }
   }
   const auto lateness = Clock::now() - node.nextRound;
-  const bool recovered = runNodeRound(node, node.rng, lateness, sink);
+  const bool recovered = runNodeRound(node, now, lateness, sink);
   reschedule(recovered ? Clock::now() + jitteredPeriod(node.rng)
                        : node.nextRound + jitteredPeriod(node.rng));
 }
@@ -880,18 +766,18 @@ void UdpCluster::shardLoop(ShardedExecutor::ShardContext& ctx) {
     node.rng = util::Rng(util::mix64(options_.seed ^ 0xDA7A6A4Dull) ^ node.id);
     node.stallNoted = false;
     // Phase-stagger first rounds across the cluster (node i at phase
-    // i/n of a period). Thread mode gets this desynchronization for
-    // free from OS preemption; a shared wheel does not, and perfectly
-    // synchronized rounds make every node's send burst land in every
-    // ingress queue at once — under a tight ingress bound the oldest-
-    // first shed then cuts the SAME sender's ball everywhere, which is
-    // exactly the correlated loss EpTO's redundancy cannot absorb.
+    // i/n of a period). A shared wheel does not desynchronize nodes on
+    // its own, and perfectly synchronized rounds make every node's send
+    // burst land in every ingress queue at once — under a tight ingress
+    // bound the oldest-first shed then cuts the SAME sender's ball
+    // everywhere, which is exactly the correlated loss EpTO's
+    // redundancy cannot absorb.
     const auto phase = options_.roundPeriod * i / nodes_.size();
     node.nextRound = Clock::now() + jitteredPeriod(node.rng) + phase;
     ctx.wheel().schedule(static_cast<std::uint32_t>(i), node.nextRound);
   }
 
-  BatchSink sink(*this, options_.sendBatch);
+  BatchSink sink(*this);
   std::vector<UdpSocket::Datagram> scratch;
   std::vector<std::uint32_t> due;
   std::vector<pollfd> pollSet;
@@ -906,14 +792,13 @@ void UdpCluster::shardLoop(ShardedExecutor::ShardContext& ctx) {
       for (std::size_t i = begin; i < end; ++i) {
         NodeState& node = *nodes_[i];
         if (node.up.load(std::memory_order_relaxed) && !node.stallNoted) {
-          flushHeldBack(node, node.rng);
+          flushHeldBack(node);
         }
       }
     }
 
     // One poll() across every live owned socket, blocking until the
-    // wheel's earliest deadline (the sharded analogue of the per-node
-    // receive-until-boundary loop).
+    // wheel's earliest deadline.
     pollSet.clear();
     pollNode.clear();
     for (std::size_t i = begin; i < end; ++i) {
@@ -945,7 +830,7 @@ void UdpCluster::shardLoop(ShardedExecutor::ShardContext& ctx) {
     }
 
     // Hand each node a bounded batch of decoded balls; the rest stays
-    // queued behind the ingress bound, exactly as in thread mode.
+    // queued behind the ingress bound.
     for (std::size_t i = begin; i < end; ++i) {
       NodeState& node = *nodes_[i];
       if (!node.up.load(std::memory_order_relaxed) || node.stallNoted) continue;
@@ -980,7 +865,7 @@ bool UdpCluster::awaitQuiescence(std::chrono::milliseconds timeout) {
       if (std::chrono::steady_clock::now() >= deadline) {
         quiescenceReport_ = allInjected
                                 ? ledger_.missingReport()
-                                : "broadcast requests still queued at node threads; " +
+                                : "broadcast requests still queued at their shards; " +
                                       ledger_.missingReport();
         return false;
       }
@@ -997,19 +882,12 @@ std::string UdpCluster::lastQuiescenceReport() const {
 void UdpCluster::stop() {
   if (!running_.exchange(false)) return;
   stopRequested_ = true;
-  if (executor_ != nullptr) {
-    executor_->stop();
-  } else {
-    for (auto& node : nodes_) {
-      if (node->thread.joinable()) node->thread.join();
-    }
-  }
+  executor_->stop();
   if (scrape_ != nullptr) scrape_->stop();
 }
 
 std::string UdpCluster::prometheusSnapshot() {
   publishTransportMetrics();
-  if (faults_ != nullptr) faults_->recordTo(registry_);
   return obs::prometheusText(registry_.snapshot());
 }
 

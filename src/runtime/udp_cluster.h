@@ -1,11 +1,11 @@
 // UdpCluster — EpTO over real UDP sockets on loopback (paper §8.5).
 //
-// The strongest "real system" configuration in this repository: every
-// node owns a UDP socket and a thread; balls are serialized through the
-// wire codec into datagrams; nothing but the OS network stack sits
-// between processes. The node loop is single-threaded per node (receive
-// with a deadline, then run the round), so the sans-io core again needs
-// no locks.
+// The repository's one real-thread runtime: every node owns a UDP
+// socket; balls are serialized through the wire codec into datagrams;
+// nothing but the OS network stack sits between processes. A fixed
+// ShardedExecutor pool (DESIGN.md §16) drives the nodes — each shard
+// owns a contiguous slice and runs its nodes' receive, ingest and round
+// work on one thread — so the sans-io core again needs no locks.
 //
 // Overload hardening (DESIGN.md §10): balls larger than the MTU are
 // fragmented (codec/fragment_codec.h) and reassembled per node with
@@ -28,7 +28,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include <string>
@@ -56,18 +55,6 @@
 
 namespace epto::runtime {
 
-/// How the cluster maps nodes onto OS threads.
-enum class ExecutorMode : std::uint8_t {
-  /// PR 3 model: one thread + one blocking receive loop per node, one
-  /// syscall per datagram. Kept as the differential baseline —
-  /// BM_RuntimeThroughput measures the sharded mode against it.
-  ThreadPerNode,
-  /// DESIGN.md §16 model: a fixed ShardedExecutor pool, each shard
-  /// driving a contiguous slice of nodes off a timer wheel with
-  /// recvmmsg/sendmmsg batched I/O. The default.
-  Sharded,
-};
-
 struct UdpClusterOptions {
   std::size_t nodeCount = 6;
   std::chrono::microseconds roundPeriod{4000};
@@ -76,18 +63,19 @@ struct UdpClusterOptions {
   double c = 2.0;
   std::optional<std::size_t> fanoutOverride;
   std::optional<std::uint32_t> ttlOverride;
-  /// Scheduled fault injection; same schedule format and semantics as
-  /// RuntimeOptions::faultPlan (timestamps in microseconds since
-  /// start()). Crashed nodes stop receiving and sending; their socket
-  /// stays bound, and the backlog is discarded when they rejoin with
-  /// fresh state. Delay spikes are enforced by holding outgoing
-  /// datagrams back at the sender. Burst-loss trials roll per datagram,
-  /// i.e. at fragment granularity for fragmented balls. Must outlive
-  /// the cluster.
+  /// Scheduled fault injection (fault/fault_plan.h); timestamps are in
+  /// microseconds since start(). Crashed nodes stop receiving and
+  /// sending; their socket stays bound, and the backlog is discarded
+  /// when they rejoin with fresh state. Delay spikes are enforced by
+  /// holding outgoing datagrams back at the sender. Burst-loss trials
+  /// roll per datagram, i.e. at fragment granularity for fragmented
+  /// balls. Must outlive the cluster.
   const fault::FaultPlan* faultPlan = nullptr;
   std::uint64_t seed = 42;
-  /// Background metrics scrape; same semantics as RuntimeOptions.
+  /// Background metrics scrape. 0 disables the thread unless
+  /// metricsOutPath is set (then a 100ms default applies).
   std::chrono::milliseconds scrapeInterval{0};
+  /// JSONL time-series destination; empty = no file output.
   std::string metricsOutPath;
 
   // --- transport hardening (all validated at construction) -------------
@@ -101,8 +89,6 @@ struct UdpClusterOptions {
   /// Balls handed to the protocol per loop iteration — bounds the time
   /// the node spends processing before it re-checks its round deadline.
   std::size_t ingressDrainBudget = 256;
-  /// Datagrams pulled off the socket per loop iteration.
-  std::size_t maxDatagramsPerPoll = 512;
   /// Partial (fragmented, incomplete) frames held per node.
   std::size_t reassemblyCapacity = 64;
   /// Rounds a partial frame may sit idle before eviction.
@@ -112,14 +98,6 @@ struct UdpClusterOptions {
   std::uint32_t watchdogMissedRounds = 3;
   /// Retry schedule for transient send refusals (EAGAIN/ENOBUFS).
   SendBackoffPolicy sendBackoff{};
-  /// Emit version-2 wire frames carrying per-event lineage (hop, origin
-  /// round, incarnation — codec/ball_codec.h). Default on; turn off to
-  /// emulate a mixed fleet where some decoders only speak version 1.
-  bool wireLineage = true;
-  /// Let wire frames carry per-event QoS classes (codec kFlagQos). The
-  /// flag byte is only emitted for balls containing a Fast event, so
-  /// Safe-only traffic is wire-identical either way.
-  bool wireQos = true;
   /// Speculative delivery (core/speculation.h): Fast-class broadcasts
   /// surface ahead of the committed frontier with confirm/revoke
   /// notifications; committed delivery is unaffected.
@@ -151,18 +129,8 @@ struct UdpClusterOptions {
   std::string flightDumpPath;
 
   // --- execution model (DESIGN.md §16) ---------------------------------
-  ExecutorMode executor = ExecutorMode::Sharded;
-  /// Worker shards in Sharded mode; 0 = hardware_concurrency (clamped to
-  /// nodeCount). Ignored by ThreadPerNode.
+  /// Worker shards; 0 = hardware_concurrency (clamped to nodeCount).
   std::size_t shardCount = 0;
-  /// Best-effort core pinning for shard threads (shard i -> core i).
-  bool pinShards = false;
-  /// Datagrams drained per recvmmsg() call in Sharded mode (the per-node
-  /// maxDatagramsPerPoll budget still bounds a whole wakeup).
-  std::size_t recvBatch = 32;
-  /// Send-aggregator flush threshold: datagrams accumulated per node
-  /// round before a sendmmsg() flush (the round end always flushes).
-  std::size_t sendBatch = 64;
   /// Capacity of each shard's SPSC command mailbox (broadcast requests).
   std::size_t mailboxCapacity = 1024;
 };
@@ -178,6 +146,7 @@ class UdpCluster {
   void start();
 
   /// Ask node `index` to broadcast before its next round (thread-safe).
+  /// A request that reaches a crashed node is discarded, never injected.
   /// Fast-class broadcasts are eligible for speculative delivery (no-op
   /// unless options.speculation is on).
   void broadcast(std::size_t index, PayloadPtr payload = {},
@@ -192,21 +161,18 @@ class UdpCluster {
   /// successful wait).
   [[nodiscard]] std::string lastQuiescenceReport() const EPTO_EXCLUDES(trackerMutex_);
 
-  /// Signal and join all node threads. Idempotent.
+  /// Signal and join all shard threads. Idempotent.
   void stop();
 
   [[nodiscard]] metrics::TrackerReport report() const EPTO_EXCLUDES(trackerMutex_);
   [[nodiscard]] std::size_t fanoutUsed() const noexcept { return fanout_; }
   [[nodiscard]] std::uint32_t ttlUsed() const noexcept { return ttl_; }
-  [[nodiscard]] ExecutorMode executorMode() const noexcept { return options_.executor; }
-  /// Worker shards actually running (0 in ThreadPerNode mode).
-  [[nodiscard]] std::size_t shardCountUsed() const noexcept {
-    return executor_ != nullptr ? executor_->shardCount() : 0;
-  }
+  /// Worker shards actually running.
+  [[nodiscard]] std::size_t shardCountUsed() const noexcept { return executor_->shardCount(); }
   /// Broadcast commands refused by a full shard mailbox (each was
   /// retried until accepted; this counts the backpressure events).
   [[nodiscard]] std::uint64_t mailboxPostRejections() const noexcept {
-    return executor_ != nullptr ? executor_->postRejections() : 0;
+    return executor_->postRejections();
   }
   /// Datagrams that arrived but failed frame validation.
   [[nodiscard]] std::uint64_t framesRejected() const noexcept {
@@ -309,6 +275,8 @@ class UdpCluster {
     QosClass qos = QosClass::Safe;
   };
 
+  /// Every mutable field is owned by the node's shard; the exceptions
+  /// are `up` (read anywhere) and the mutex-guarded pending list.
   struct NodeState {
     NodeState(std::size_t receiveBufferBytes, const ReassemblyOptions& reassembly,
               std::size_t ingressCapacity, std::uint32_t watchdogMissedRounds)
@@ -319,67 +287,55 @@ class UdpCluster {
 
     ProcessId id = 0;
     UdpSocket socket;
-    std::unique_ptr<Process> process;  ///< node-thread only.
-    /// Feedback controller (node-thread only; null unless adaptive).
+    std::unique_ptr<Process> process;
+    /// Feedback controller (null unless adaptive).
     std::unique_ptr<adapt::FeedbackController> controller;
-    std::uint64_t lastBallsReceived = 0;  ///< node-thread only.
-    std::thread thread;
+    std::uint64_t lastBallsReceived = 0;
     /// Leaf lock: never held together with trackerMutex_ (DESIGN.md §12).
     util::Mutex broadcastMutex;
     std::vector<PendingBroadcast> pendingBroadcasts EPTO_GUARDED_BY(broadcastMutex);
-    /// False while inside a crash window (node thread writes, others read).
+    /// False while inside a crash window (the shard writes, others read).
     std::atomic<bool> up{true};
-    std::uint32_t incarnation = 0;        // node-thread only
-    std::vector<HeldDatagram> heldBack;   // node-thread only
-    Reassembler reassembler;              // node-thread only
-    IngressQueue ingress;                 // node-thread only
+    std::uint32_t incarnation = 0;
+    std::vector<HeldDatagram> heldBack;
+    Reassembler reassembler;
+    IngressQueue ingress;
     /// Null unless UdpClusterOptions::hardenIngress.
-    std::unique_ptr<core::IngressGuard> guard;  // node-thread only
-    StallWatchdog watchdog;               // node-thread only
-    std::uint64_t roundCounter = 0;       // node-thread only
-    std::uint32_t fragmentSeq = 0;        // node-thread only; ballId low bits
-    /// Scheduling state, owned by whichever executor drives the node
-    /// (its dedicated thread, or its owning shard — never both).
+    std::unique_ptr<core::IngressGuard> guard;
+    StallWatchdog watchdog;
+    std::uint64_t roundCounter = 0;
+    std::uint32_t fragmentSeq = 0;  ///< ballId low bits.
     util::Rng rng{0};
     std::chrono::steady_clock::time_point nextRound{};
     bool stallNoted = false;
     /// Last reassembly/ingress/watchdog figures mirrored into the
-    /// cluster atomics (node-thread only; published once per round).
+    /// cluster atomics (published once per round).
     ReassemblyStats publishedReassembly;
     std::uint64_t publishedIngressShed = 0;
     std::uint64_t publishedWatchdogRecoveries = 0;
     core::IngressStats publishedGuard;
   };
 
-  /// Strategy for emitting one round's datagrams: the thread-per-node
-  /// mode sends immediately (with interleaved drains every 32 sends);
-  /// the sharded mode aggregates and flushes through sendmmsg.
-  struct DatagramSink {
-    virtual ~DatagramSink() = default;
-    virtual void send(NodeState& node, std::uint16_t port, bool isFragment,
-                      const std::vector<std::byte>& frame, util::Rng& rng) = 0;
-    /// End of the round's send burst (queued frames die after this).
-    virtual void flush(NodeState& node, util::Rng& rng) = 0;
-  };
-  class ImmediateSink;  // udp_cluster.cpp
-  class BatchSink;      // udp_cluster.cpp
+  /// Emits one round's datagrams: aggregates them and flushes through
+  /// sendmmsg (udp_cluster.cpp).
+  class BatchSink;
 
-  void nodeLoop(NodeState& node);
   /// One shard's whole life: init owned nodes, then poll/ingest/round
   /// until stop (ShardedExecutor body).
   void shardLoop(ShardedExecutor::ShardContext& ctx);
   /// A node's wheel timer fired: fault gates, then the round, then
   /// re-arm.
   void serviceDueNode(std::size_t index, ShardedExecutor::ShardContext& ctx,
-                      DatagramSink& sink);
-  /// The round boundary body shared by both executor modes (broadcasts,
-  /// onRound, fanout send via `sink`, controller feedback, metrics,
-  /// watchdog). Returns true when the watchdog forced a recovery — the
+                      BatchSink& sink);
+  /// The round boundary body (broadcasts, onRound, fanout send via
+  /// `sink`, controller feedback, metrics, watchdog). `now` is the one
+  /// timestamp the round's fault gates, link fates and tracker records
+  /// all use. Returns true when the watchdog forced a recovery — the
   /// caller must re-anchor the schedule to now instead of advancing it.
-  bool runNodeRound(NodeState& node, util::Rng& rng,
-                    std::chrono::steady_clock::duration lateness, DatagramSink& sink);
+  bool runNodeRound(NodeState& node, Timestamp now,
+                    std::chrono::steady_clock::duration lateness, BatchSink& sink);
   /// recvmmsg-drain one readable socket into the node's ingress queue,
-  /// bounded by maxDatagramsPerPoll; observes the recv batch histogram.
+  /// bounded per wakeup; observes the recv batch histogram.
   void batchIngest(NodeState& node, std::vector<UdpSocket::Datagram>& scratch);
   [[nodiscard]] std::chrono::microseconds jitteredPeriod(util::Rng& rng) const;
   [[nodiscard]] std::unique_ptr<Process> makeProcess(ProcessId id,
@@ -389,9 +345,7 @@ class UdpCluster {
       ProcessId id) const;
   void enterCrash(NodeState& node) EPTO_EXCLUDES(trackerMutex_);
   void leaveCrash(NodeState& node) EPTO_EXCLUDES(trackerMutex_);
-  void sendDatagram(NodeState& node, std::uint16_t port, bool isFragment,
-                    const std::vector<std::byte>& frame, util::Rng& rng);
-  void flushHeldBack(NodeState& node, util::Rng& rng);
+  void flushHeldBack(NodeState& node);
   /// Route one received datagram: truncation check, fragment reassembly
   /// or direct decode, then ingress admission.
   void ingestDatagram(NodeState& node, const UdpSocket::Datagram& datagram);
@@ -399,7 +353,9 @@ class UdpCluster {
                         std::uint16_t fromPort);
   /// Mirror the node's local overload counters into the cluster atomics.
   void publishNodeCounters(NodeState& node);
-  /// Copy the cluster-wide transport atomics into the registry.
+  /// Copy the cluster-wide transport and fault counters into the
+  /// registry — the one publish path, shared by the background scrape
+  /// and prometheusSnapshot().
   void publishTransportMetrics();
   [[nodiscard]] std::vector<ProcessId> upNodes() const;
   [[nodiscard]] Timestamp ticksNow() const;
@@ -409,17 +365,14 @@ class UdpCluster {
   std::uint32_t ttl_ = 0;
   std::chrono::steady_clock::time_point epoch_;
 
-  util::Rng masterRng_;
   std::unique_ptr<fault::FaultController> faults_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
   std::vector<std::uint16_t> ports_;  // ProcessId -> UDP port
-  /// Null in ThreadPerNode mode.
   std::unique_ptr<ShardedExecutor> executor_;
 
   obs::Registry registry_;
   /// Batched-I/O instruments, registered once at construction so hot
-  /// paths never touch the registry lock (null histograms are never
-  /// observed — ThreadPerNode mode has no batches).
+  /// paths never touch the registry lock.
   obs::Histogram* recvBatchSize_ = nullptr;
   obs::Histogram* sendBatchSize_ = nullptr;
   /// Constructed after registry_ (it registers its histograms there).
@@ -435,6 +388,7 @@ class UdpCluster {
   std::unordered_map<ProcessId, metrics::ProcessLifetime> lifetimes_
       EPTO_GUARDED_BY(trackerMutex_);
   std::string quiescenceReport_ EPTO_GUARDED_BY(trackerMutex_);
+  /// Every broadcast() call; settled once injected or discarded.
   std::atomic<std::uint64_t> requestedBroadcasts_{0};
   std::atomic<std::uint64_t> discardedBroadcasts_{0};
   std::atomic<std::uint64_t> framesRejected_{0};

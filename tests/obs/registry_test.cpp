@@ -107,7 +107,7 @@ TEST(RegistryTest, ExponentialBounds) {
 
 // Many writer threads against one registry; snapshots taken mid-flight
 // must be internally consistent and the final totals exact. This is the
-// RuntimeCluster scrape-thread contract.
+// UdpCluster scrape-thread contract.
 TEST(RegistryTest, SnapshotUnderConcurrentWriters) {
   Registry registry;
   constexpr int kThreads = 4;

@@ -1,7 +1,7 @@
 // Tests of the batched UDP I/O paths (recvmmsg/sendmmsg) and the
-// sharded executor mode of UdpCluster (DESIGN.md §16): batch receive
-// semantics, per-message backoff classification in batch sends, and a
-// thread-per-node vs sharded differential over the full protocol.
+// sharded executor under UdpCluster (DESIGN.md §16): batch receive
+// semantics, per-message backoff classification in batch sends, and
+// multi-shard clusters over the full protocol.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -175,31 +175,23 @@ TEST(UdpBatchSend, EmptyBatchIsANoOp) {
   EXPECT_EQ(outcome.syscalls, 0u);
 }
 
-// The tentpole acceptance test at protocol level: the sharded executor
-// must be a drop-in replacement — same broadcasts, same total order,
-// same verdicts as thread-per-node, over real sockets.
-TEST(UdpShardedCluster, DeliversTotalOrderLikeThreadPerNode) {
-  for (const ExecutorMode mode : {ExecutorMode::ThreadPerNode, ExecutorMode::Sharded}) {
-    UdpClusterOptions options;
-    options.nodeCount = 5;
-    options.roundPeriod = 3ms;
-    options.seed = 99;
-    options.executor = mode;
-    options.shardCount = 2;
-    UdpCluster cluster(options);
-    cluster.start();
-    for (std::size_t i = 0; i < 5; ++i) cluster.broadcast(i);
-    ASSERT_TRUE(cluster.awaitQuiescence(30s)) << cluster.lastQuiescenceReport();
-    cluster.stop();
-    const auto report = cluster.report();
-    EXPECT_EQ(report.deliveries, 25u);
-    EXPECT_TRUE(report.allPropertiesHold());
-    if (mode == ExecutorMode::Sharded) {
-      EXPECT_EQ(cluster.shardCountUsed(), 2u);
-    } else {
-      EXPECT_EQ(cluster.shardCountUsed(), 0u);
-    }
-  }
+// Nodes on two shards exchange every ball across the shard boundary
+// and must still agree on one total order over real sockets.
+TEST(UdpShardedCluster, DeliversTotalOrderAcrossTwoShards) {
+  UdpClusterOptions options;
+  options.nodeCount = 5;
+  options.roundPeriod = 3ms;
+  options.seed = 99;
+  options.shardCount = 2;
+  UdpCluster cluster(options);
+  cluster.start();
+  for (std::size_t i = 0; i < 5; ++i) cluster.broadcast(i);
+  ASSERT_TRUE(cluster.awaitQuiescence(30s)) << cluster.lastQuiescenceReport();
+  cluster.stop();
+  const auto report = cluster.report();
+  EXPECT_EQ(report.deliveries, 25u);
+  EXPECT_TRUE(report.allPropertiesHold());
+  EXPECT_EQ(cluster.shardCountUsed(), 2u);
 }
 
 TEST(UdpShardedCluster, ManyNodesPerShardStillQuiesce) {
@@ -207,7 +199,6 @@ TEST(UdpShardedCluster, ManyNodesPerShardStillQuiesce) {
   options.nodeCount = 12;
   options.roundPeriod = 4ms;
   options.seed = 101;
-  options.executor = ExecutorMode::Sharded;
   options.shardCount = 2;  // 6 nodes per shard
   UdpCluster cluster(options);
   cluster.start();
@@ -224,7 +215,6 @@ TEST(UdpShardedCluster, BatchHistogramsAreObserved) {
   options.nodeCount = 4;
   options.roundPeriod = 3ms;
   options.seed = 55;
-  options.executor = ExecutorMode::Sharded;
   options.shardCount = 1;
   UdpCluster cluster(options);
   cluster.start();
@@ -246,7 +236,6 @@ TEST(UdpShardedCluster, BroadcastSurvivesAFullMailbox) {
   options.nodeCount = 2;
   options.roundPeriod = 3ms;
   options.seed = 77;
-  options.executor = ExecutorMode::Sharded;
   options.mailboxCapacity = 1;  // every burst overflows
   UdpCluster cluster(options);
   cluster.start();

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "codec/ball_codec.h"
+#include "core/config.h"
 #include "core/ingress_guard.h"
 #include "codec/fragment_codec.h"
 #include "runtime/udp_cluster.h"
@@ -145,7 +146,7 @@ TEST(UdpCluster, TotalOrderOverRealSockets) {
   UdpCluster cluster(options);
   cluster.start();
   for (std::size_t i = 0; i < 6; ++i) cluster.broadcast(i);
-  ASSERT_TRUE(cluster.awaitQuiescence(30s));
+  ASSERT_TRUE(cluster.awaitQuiescence(30s)) << cluster.lastQuiescenceReport();
   cluster.stop();
   const auto report = cluster.report();
   EXPECT_EQ(report.broadcasts, 6u);
@@ -154,6 +155,112 @@ TEST(UdpCluster, TotalOrderOverRealSockets) {
   EXPECT_EQ(report.integrityViolations, 0u);
   EXPECT_EQ(report.holes, 0u);
   EXPECT_EQ(cluster.framesRejected(), 0u);
+}
+
+// Two waves from every node, the second a couple of rounds after the
+// first: every node delivers all sixteen events, once each, in one order.
+TEST(UdpCluster, DeliversEverythingEverywhereInOrder) {
+  UdpClusterOptions options;
+  options.nodeCount = 8;
+  options.roundPeriod = 3ms;
+  options.seed = 7;
+  UdpCluster cluster(options);
+  cluster.start();
+  for (std::size_t i = 0; i < 8; ++i) cluster.broadcast(i);
+  std::this_thread::sleep_for(6ms);
+  for (std::size_t i = 0; i < 8; ++i) cluster.broadcast(i);
+  ASSERT_TRUE(cluster.awaitQuiescence(30s)) << cluster.lastQuiescenceReport();
+  cluster.stop();
+  const auto report = cluster.report();
+  EXPECT_EQ(report.broadcasts, 16u);
+  EXPECT_EQ(report.deliveries, 16u * 8u);
+  EXPECT_EQ(report.orderViolations, 0u);
+  EXPECT_EQ(report.integrityViolations, 0u);
+  EXPECT_EQ(report.validityViolations, 0u);
+  EXPECT_EQ(report.holes, 0u);
+}
+
+// Every ball crosses the wire as a codec frame: encoded on send,
+// CRC-checked and decoded on receive, then inspected by the ingress
+// guard — payloads included.
+TEST(UdpCluster, SerializedFramesRoundTripEndToEnd) {
+  UdpClusterOptions options;
+  options.nodeCount = 8;
+  options.roundPeriod = 3ms;
+  options.seed = 7;
+  UdpCluster cluster(options);
+  cluster.start();
+  for (std::size_t i = 0; i < 8; ++i) cluster.broadcast(i, makePayload(32 * (i + 1), i));
+  ASSERT_TRUE(cluster.awaitQuiescence(30s)) << cluster.lastQuiescenceReport();
+  cluster.stop();
+  const auto report = cluster.report();
+  EXPECT_EQ(report.deliveries, 8u * 8u);
+  EXPECT_TRUE(report.allPropertiesHold());
+  EXPECT_GT(cluster.ingressGuardStats().ballsInspected, 0u);
+  EXPECT_EQ(cluster.framesRejected(), 0u);
+  EXPECT_EQ(cluster.truncatedDatagrams(), 0u);
+}
+
+// In-flight corruption behaves like loss: a bit-flipped ball frame and a
+// bit-flipped fragment fail their CRC and are counted and dropped before
+// anything reaches the protocol, so no verdict ever notices them.
+TEST(UdpCluster, CorruptedFramesAreDetectedAndDropped) {
+  UdpClusterOptions options;
+  options.nodeCount = 8;
+  options.roundPeriod = 3ms;
+  options.seed = 7;
+  UdpCluster cluster(options);
+  cluster.start();
+
+  std::vector<std::byte> ballFrame =
+      codec::encodeBall(makeBall(900), codec::EncodeOptions{.lineage = true});
+  ballFrame[ballFrame.size() / 2] ^= std::byte{0x10};
+  Ball jumbo = makeBall(901);
+  jumbo[0].payload = makePayload(4 * options.mtuBytes, 901);
+  auto fragments = codec::fragmentFrame(
+      codec::encodeBall(jumbo, codec::EncodeOptions{.lineage = true}), options.mtuBytes,
+      /*ballId=*/901);
+  ASSERT_GT(fragments.size(), 1u);
+  fragments[1][fragments[1].size() / 2] ^= std::byte{0x10};
+  UdpSocket attacker;
+  ASSERT_TRUE(attacker.sendTo(cluster.nodePort(0), ballFrame));
+  ASSERT_TRUE(attacker.sendTo(cluster.nodePort(0), fragments[1]));
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (cluster.framesRejected() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+
+  for (std::size_t i = 0; i < 8; ++i) cluster.broadcast(i);
+  ASSERT_TRUE(cluster.awaitQuiescence(30s)) << cluster.lastQuiescenceReport();
+  cluster.stop();
+  const auto report = cluster.report();
+  EXPECT_EQ(report.deliveries, 8u * 8u);
+  EXPECT_TRUE(report.allPropertiesHold());
+  // Exactly the two corrupted datagrams: honest frames all validate.
+  EXPECT_EQ(cluster.framesRejected(), 2u);
+}
+
+TEST(UdpCluster, ConcurrentBroadcastersFromManyThreads) {
+  UdpClusterOptions options;
+  options.nodeCount = 6;
+  options.roundPeriod = 3ms;
+  options.seed = 7;
+  UdpCluster cluster(options);
+  cluster.start();
+  std::vector<std::thread> apps;
+  for (std::size_t node = 0; node < 6; ++node) {
+    apps.emplace_back([&cluster, node] {
+      for (int i = 0; i < 3; ++i) cluster.broadcast(node);
+    });
+  }
+  for (auto& t : apps) t.join();
+  ASSERT_TRUE(cluster.awaitQuiescence(30s)) << cluster.lastQuiescenceReport();
+  cluster.stop();
+  const auto report = cluster.report();
+  EXPECT_EQ(report.broadcasts, 18u);
+  EXPECT_EQ(report.deliveries, 18u * 6u);
+  EXPECT_EQ(report.orderViolations, 0u);
+  EXPECT_EQ(report.integrityViolations, 0u);
 }
 
 TEST(UdpCluster, GlobalClockModeOverSockets) {
@@ -170,6 +277,29 @@ TEST(UdpCluster, GlobalClockModeOverSockets) {
   const auto report = cluster.report();
   EXPECT_EQ(report.deliveries, 25u);
   EXPECT_TRUE(report.allPropertiesHold());
+}
+
+// Every node stamps its events from the one shared steady clock; two
+// back-to-back broadcasts per node still deliver in one total order.
+TEST(UdpCluster, GlobalClockModeWorksWithSharedSteadyClock) {
+  UdpClusterOptions options;
+  options.nodeCount = 6;
+  options.roundPeriod = 3ms;
+  options.clockMode = ClockMode::Global;
+  options.seed = 7;
+  UdpCluster cluster(options);
+  cluster.start();
+  for (std::size_t i = 0; i < 6; ++i) {
+    cluster.broadcast(i);
+    cluster.broadcast(i);
+  }
+  ASSERT_TRUE(cluster.awaitQuiescence(30s)) << cluster.lastQuiescenceReport();
+  cluster.stop();
+  const auto report = cluster.report();
+  EXPECT_EQ(report.broadcasts, 12u);
+  EXPECT_EQ(report.deliveries, 12u * 6u);
+  EXPECT_EQ(report.orderViolations, 0u);
+  EXPECT_EQ(report.holes, 0u);
 }
 
 // The tentpole end-to-end: balls far beyond the 64 KiB datagram limit
@@ -262,6 +392,53 @@ TEST(UdpCluster, ExportsLabeledTransportCounters) {
             std::string::npos);
   EXPECT_NE(snapshot.find("epto_ingress_rejected_total{cause=\"equivocation\"}"),
             std::string::npos);
+  // Per-node labeling: each node reports its own delivery of the one
+  // broadcast, and node 0 its broadcast.
+  for (int node = 0; node < 3; ++node) {
+    const std::string line = "epto_ordering_delivered_ordered_total{node=\"" +
+                             std::to_string(node) + "\"} 1";
+    EXPECT_NE(snapshot.find(line), std::string::npos) << "missing: " << line;
+  }
+  EXPECT_NE(snapshot.find("epto_dissemination_broadcasts_total{node=\"0\"} 1"),
+            std::string::npos);
+}
+
+TEST(UdpCluster, PrometheusSnapshotCoversEveryProtocolCounter) {
+  UdpClusterOptions options;
+  options.nodeCount = 4;
+  options.roundPeriod = 3ms;
+  options.seed = 7;
+  UdpCluster cluster(options);
+  cluster.start();
+  for (std::size_t i = 0; i < 4; ++i) cluster.broadcast(i);
+  ASSERT_TRUE(cluster.awaitQuiescence(30s)) << cluster.lastQuiescenceReport();
+  cluster.stop();
+
+  const std::string text = cluster.prometheusSnapshot();
+  // Every OrderingStats / DisseminationStats counter plus the wire totals
+  // must appear as a Prometheus family.
+  for (const char* family :
+       {"epto_ordering_rounds_total", "epto_ordering_delivered_ordered_total",
+        "epto_ordering_delivered_out_of_order_total",
+        "epto_ordering_dropped_out_of_order_total",
+        "epto_ordering_dropped_duplicates_total", "epto_ordering_ttl_merges_total",
+        "epto_ordering_received_high_water", "epto_dissemination_broadcasts_total",
+        "epto_dissemination_balls_received_total", "epto_dissemination_balls_sent_total",
+        "epto_dissemination_events_relayed_total",
+        "epto_dissemination_events_expired_total", "epto_dissemination_rounds_total",
+        "epto_dissemination_max_ball_size", "epto_received_set_size",
+        "epto_pending_relay_count", "epto_last_delivered_ts", "epto_last_delivered_lag",
+        "epto_udp_frames_rejected_total", "epto_udp_fragments_sent_total",
+        "epto_udp_send_batch_size", "epto_udp_recv_batch_size"}) {
+    EXPECT_NE(text.find(std::string("# TYPE ") + family + " "), std::string::npos)
+        << "missing family: " << family;
+  }
+  // Per-node labeling: each of the four nodes reports its delivery count.
+  for (int node = 0; node < 4; ++node) {
+    const std::string line = "epto_ordering_delivered_ordered_total{node=\"" +
+                             std::to_string(node) + "\"} 4";
+    EXPECT_NE(text.find(line), std::string::npos) << "missing: " << line;
+  }
 }
 
 // --- hostile-frame injection (ISSUE 7: the runtime half of the ---------
@@ -422,9 +599,69 @@ TEST(UdpCluster, StopIsIdempotent) {
   options.nodeCount = 3;
   options.roundPeriod = 3ms;
   UdpCluster cluster(options);
+  // The derived K and TTL are exposed, and a report before any traffic
+  // is clean.
+  EXPECT_GE(cluster.fanoutUsed(), 1u);
+  EXPECT_LE(cluster.fanoutUsed(), 2u);
+  EXPECT_GE(cluster.ttlUsed(), 1u);
+  const auto before = cluster.report();
+  EXPECT_EQ(before.broadcasts, 0u);
+  EXPECT_TRUE(before.allPropertiesHold());
   cluster.start();
+  cluster.broadcast(0);
   cluster.stop();
+  cluster.stop();  // no-op; the destructor runs stop() once more
+}
+
+TEST(UdpCluster, StopIsIdempotentAndDestructorSafe) {
+  UdpClusterOptions options;
+  options.nodeCount = 4;
+  options.roundPeriod = 3ms;
+  {
+    UdpCluster idle(options);  // never started: nothing to stop
+  }
+  UdpCluster cluster(options);
+  cluster.start();
+  for (std::size_t i = 0; i < 4; ++i) cluster.broadcast(i);
+  // No stop(): the destructor must join the shards with traffic in
+  // flight, without hanging or crashing.
+}
+
+TEST(UdpCluster, ReportBeforeAnyTrafficIsClean) {
+  UdpClusterOptions options;
+  options.nodeCount = 4;
+  options.roundPeriod = 3ms;
+  UdpCluster cluster(options);
+  EXPECT_EQ(cluster.report().broadcasts, 0u);
+  EXPECT_TRUE(cluster.report().allPropertiesHold());
+  // Rounds that gossip nothing leave it clean too.
+  cluster.start();
+  EXPECT_TRUE(cluster.awaitQuiescence(1s)) << cluster.lastQuiescenceReport();
+  std::this_thread::sleep_for(15ms);
   cluster.stop();
+  const auto report = cluster.report();
+  EXPECT_EQ(report.broadcasts, 0u);
+  EXPECT_EQ(report.deliveries, 0u);
+  EXPECT_TRUE(report.allPropertiesHold());
+}
+
+TEST(UdpCluster, DerivedParametersExposed) {
+  UdpClusterOptions options;
+  options.nodeCount = 8;
+  const UdpCluster derived(options);
+  const Config expected =
+      Config::forSystemSize(8, options.clockMode, Robustness{.c = options.c});
+  EXPECT_EQ(derived.fanoutUsed(), expected.fanout);
+  EXPECT_EQ(derived.ttlUsed(), expected.ttl);
+  EXPECT_GE(derived.fanoutUsed(), 1u);
+  EXPECT_LE(derived.fanoutUsed(), 7u);
+  EXPECT_GE(derived.ttlUsed(), 1u);
+  // Overrides replace the derived values.
+  options.fanoutOverride = 5;
+  options.ttlOverride = 9;
+  const UdpCluster overridden(options);
+  EXPECT_EQ(overridden.fanoutUsed(), 5u);
+  EXPECT_EQ(overridden.ttlUsed(), 9u);
 }
 
 TEST(UdpCluster, RejectsDegenerateOptions) {
@@ -466,6 +703,35 @@ TEST(UdpCluster, RejectsDegenerateOptions) {
   {
     UdpClusterOptions options;
     options.sendBackoff.multiplier = 0.5;
+    EXPECT_THROW(UdpCluster{options}, util::ContractViolation);
+  }
+}
+
+// The rest of what the constructor validates.
+TEST(UdpCluster, RejectsBadOptions) {
+  {
+    UdpClusterOptions options;
+    options.nodeCount = 0;
+    EXPECT_THROW(UdpCluster{options}, util::ContractViolation);
+  }
+  {
+    UdpClusterOptions options;
+    options.roundPeriod = std::chrono::microseconds{0};
+    EXPECT_THROW(UdpCluster{options}, util::ContractViolation);
+  }
+  {
+    UdpClusterOptions options;
+    options.reassemblyCapacity = 0;
+    EXPECT_THROW(UdpCluster{options}, util::ContractViolation);
+  }
+  {
+    UdpClusterOptions options;
+    options.sendBackoff.initialDelay = std::chrono::microseconds{-1};
+    EXPECT_THROW(UdpCluster{options}, util::ContractViolation);
+  }
+  {
+    UdpClusterOptions options;
+    options.mailboxCapacity = 0;
     EXPECT_THROW(UdpCluster{options}, util::ContractViolation);
   }
 }

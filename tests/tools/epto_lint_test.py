@@ -128,19 +128,19 @@ class RuleFixtureTest(unittest.TestCase):
             "src/core/ordering.cpp", code, allow))
 
     def test_shard_affinity_write_dispatch(self):
-        self.assert_fires("shard-affinity-write", "src/runtime/transport.cpp",
+        self.assert_fires("shard-affinity-write", "src/runtime/reassembly.cpp",
                           "node.process->onBall(*ball);\n")
-        self.assert_fires("shard-affinity-write", "src/runtime/transport.cpp",
+        self.assert_fires("shard-affinity-write", "src/runtime/reassembly.cpp",
                           "const auto out = node.process->onRound();\n")
-        self.assert_fires("shard-affinity-write", "src/runtime/transport.cpp",
+        self.assert_fires("shard-affinity-write", "src/runtime/reassembly.cpp",
                           "node.ingress.push(std::move(decoded.ball));\n")
 
     def test_shard_affinity_write_lifecycle(self):
-        self.assert_fires("shard-affinity-write", "src/runtime/transport.cpp",
+        self.assert_fires("shard-affinity-write", "src/runtime/reassembly.cpp",
                           "node.process.reset();\n")
-        self.assert_fires("shard-affinity-write", "src/runtime/transport.cpp",
+        self.assert_fires("shard-affinity-write", "src/runtime/reassembly.cpp",
                           "node.process = makeProcess(node.id, node.incarnation);\n")
-        self.assert_fires("shard-affinity-write", "src/runtime/transport.cpp",
+        self.assert_fires("shard-affinity-write", "src/runtime/reassembly.cpp",
                           "node.reassembler.clear();\n")
 
     def test_shard_affinity_read_allowed(self):
@@ -213,7 +213,6 @@ class AllowlistTest(unittest.TestCase):
         self.assertIn(("decoded-ball-trust", "src/runtime/udp_cluster.cpp"), entries)
         self.assertIn(("speculative-frontier-write", "src/core/ordering.cpp"), entries)
         self.assertIn(("shard-affinity-write", "src/runtime/udp_cluster.cpp"), entries)
-        self.assertIn(("shard-affinity-write", "src/runtime/runtime_cluster.cpp"), entries)
 
     def test_every_checked_in_entry_is_load_bearing(self):
         """Dropping any allowlist entry must surface at least one finding —

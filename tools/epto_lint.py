@@ -57,9 +57,8 @@ shard-affinity-write
                  NodeState handle — node.process dispatch/lifecycle
                  (onBall/onRound/broadcast/retune, reset, reassignment)
                  and node.ingress / node.reassembler mutators — outside
-                 the executor loops that own the node (allowlisted:
-                 udp_cluster.cpp's shard/node loops, runtime_cluster.cpp's
-                 node threads). Under the sharded executor (DESIGN.md
+                 the shard loop that owns the node (allowlisted:
+                 udp_cluster.cpp). Under the sharded executor (DESIGN.md
                  §16) these structures are single-writer by shard
                  affinity and intentionally unlocked; cross-shard work
                  must be posted as a Command to the owning shard's
