@@ -4,12 +4,12 @@
 // deadline. A thread per node would get scheduling for free (every node
 // sleeping on its own socket until its own deadline); a shard thread
 // needs one structure answering two questions cheaply on every loop
-// iteration: "how long may I block in poll()?" (nextDue) and "which
-// nodes' rounds are due now?" (expire). A hashed wheel gives both at
-// O(1) amortized per timer: slots of `granularity` width, a timer lives
-// in the slot of its due tick, and the cursor sweeps slots as time
-// advances. Entries hashed into a visited slot from a future lap are
-// simply left in place — the cursor re-checks the due tick each pass.
+// iteration: "how long may I block in ppoll()?" (nextDue/waitFrom) and
+// "which nodes' rounds are due now?" (expire). A hashed wheel answers
+// the second at O(1) amortized per timer: slots of `granularity` width,
+// a timer lives in the slot of its due tick, and the cursor sweeps slots
+// as time advances. Entries hashed into a visited slot from a future lap
+// are simply left in place — the cursor re-checks the due tick each pass.
 //
 // Owned and driven by exactly one shard thread (like IngressQueue and
 // Reassembler, thread-safety lives one level up); deterministic given
@@ -80,9 +80,10 @@ class TimerWheel {
     return fired;
   }
 
-  /// Earliest armed due time, or nullopt when the wheel is empty — the
-  /// shard's poll() timeout. Linear in armed timers (a shard owns at
-  /// most a few thousand nodes; this is nanoseconds against a syscall).
+  /// Earliest armed due time — the start of its slot, when expire()
+  /// fires it — or nullopt when the wheel is empty. Walks every slot, so
+  /// it is linear in the slot count plus armed timers; the shard calls it
+  /// once per wakeup.
   [[nodiscard]] std::optional<TimePoint> nextDue() const {
     EPTO_SCHEDULE_POINT("wheel.nextDue");
     if (armed_ == 0) return std::nullopt;
@@ -91,6 +92,15 @@ class TimerWheel {
       for (const Entry& entry : slot) best = entry.dueTick < best ? entry.dueTick : best;
     }
     return epoch_ + granularity_ * static_cast<std::int64_t>(best);
+  }
+
+  /// How long the owner may block before expire() has work, at full
+  /// clock resolution: the remainder to nextDue(), 0 once it has passed,
+  /// and `cap` when the wheel is empty or the slot lies further out.
+  [[nodiscard]] Clock::duration waitFrom(TimePoint now, Clock::duration cap) const {
+    const auto due = nextDue();
+    if (!due.has_value() || *due - now > cap) return cap;
+    return *due > now ? *due - now : Clock::duration::zero();
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return armed_; }

@@ -3,6 +3,7 @@
 #include <poll.h>
 
 #include <algorithm>
+#include <ctime>
 #include <thread>
 
 #include "codec/ball_codec.h"
@@ -60,6 +61,15 @@ constexpr std::size_t kSendBatch = 64;
 /// Datagrams pulled off one socket per wakeup, so a flood cannot hold
 /// the shard loop past its nodes' rounds.
 constexpr std::size_t kMaxDatagramsPerPoll = 512;
+/// Longest a shard sleeps in one wait, which bounds how late it sees a
+/// stop request.
+constexpr std::chrono::milliseconds kMaxShardWait{50};
+
+timespec toTimespec(std::chrono::nanoseconds wait) {
+  const auto whole = std::chrono::duration_cast<std::chrono::seconds>(wait);
+  return timespec{static_cast<std::time_t>(whole.count()),
+                  static_cast<long>((wait - whole).count())};
+}
 
 }  // namespace
 
@@ -137,6 +147,15 @@ UdpCluster::UdpCluster(UdpClusterOptions options)
                                         obs::Registry::exponentialBounds(1, 2, 10));
   sendBatchSize_ = &registry_.histogram("epto_udp_send_batch_size", {},
                                         obs::Registry::exponentialBounds(1, 2, 10));
+
+  // Build the process-wide flight recorder here, not on its first record.
+  // That record is a node's first broadcast, after the event is stamped
+  // and before its ball is sent; building the ring there, with the other
+  // shards' first broadcasts waiting on the same static initialiser,
+  // stalls those sends for hundreds of microseconds. Peers stamping in
+  // the same slot meanwhile deliver past the stalled event's key and then
+  // drop it as out of order.
+  (void)obs::FlightRecorder::global();
 
   ShardedExecutorOptions exec;
   exec.nodeCount = options_.nodeCount;
@@ -253,8 +272,9 @@ void UdpCluster::broadcast(std::size_t index, PayloadPtr payload, QosClass qos) 
       });
   while (running_.load(std::memory_order_acquire)) {
     if (executor_->post(index, std::move(command))) return;
-    // Full mailbox: the shard drains every loop iteration, so this
-    // clears within one poll timeout.
+    // Full mailbox: the shard drains it after every wait, so this clears
+    // once the shard next wakes (a due round slot or an arriving
+    // datagram, kMaxShardWait at most).
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   // No shard is consuming (cluster not started, or stopping): run the
@@ -542,6 +562,11 @@ class UdpCluster::BatchSink {
     if (pending_.size() >= kSendBatch) flush(node);
   }
 
+  /// Bounded, drain-interleaved ingest of the node's socket (same path
+  /// as the poll loop, so a chunky backlog cannot overflow the ingress
+  /// bound mid-push).
+  void ingest(NodeState& node) { cluster_.batchIngest(node, drainScratch_); }
+
   /// End of the round's send burst (queued frames die after this).
   void flush(NodeState& node) {
     if (pending_.empty()) return;
@@ -564,9 +589,7 @@ class UdpCluster::BatchSink {
     if (outcome.hardLost > 0) {
       cluster_.sendFailuresHard_.fetch_add(outcome.hardLost, std::memory_order_relaxed);
     }
-    // Bounded, drain-interleaved ingest (same path as the poll loop, so
-    // a chunky backlog cannot overflow the ingress bound mid-push).
-    cluster_.batchIngest(node, drainScratch_);
+    ingest(node);
   }
 
  private:
@@ -588,6 +611,11 @@ bool UdpCluster::runNodeRound(NodeState& node, Timestamp now,
     const util::MutexLock lock(node.broadcastMutex);
     pending.swap(node.pendingBroadcasts);
   }
+  // Stamp on a clock that has seen every ball already at the socket. The
+  // loop's readiness check can predate a preemption, and a peer whose
+  // ball arrived meanwhile may deliver past a key stamped below it before
+  // this node's ball reaches it, then drop the event as out of order.
+  if (!pending.empty()) sink.ingest(node);
   for (PendingBroadcast& request : pending) {
     const Event event = node.process->broadcast(std::move(request.payload), request.qos);
     const util::MutexLock lock(trackerMutex_);
@@ -784,10 +812,6 @@ void UdpCluster::shardLoop(ShardedExecutor::ShardContext& ctx) {
   std::vector<std::size_t> pollNode;  // pollSet slot -> node index
 
   while (!stopRequested_.load(std::memory_order_relaxed)) {
-    // Control plane first: commands observe node state quiesced between
-    // iterations, never mid-round.
-    ctx.drainMailbox();
-
     if (faults_ != nullptr) {
       for (std::size_t i = begin; i < end; ++i) {
         NodeState& node = *nodes_[i];
@@ -797,8 +821,11 @@ void UdpCluster::shardLoop(ShardedExecutor::ShardContext& ctx) {
       }
     }
 
-    // One poll() across every live owned socket, blocking until the
-    // wheel's earliest deadline.
+    // One ppoll() across every live owned socket, blocking until the
+    // wheel's next slot at full clock resolution: a millisecond timeout
+    // would truncate every sub-millisecond remainder to 0 and spin
+    // through the last millisecond before each slot. With every owned
+    // node down or stalled the set is empty and the wait is a plain sleep.
     pollSet.clear();
     pollNode.clear();
     for (std::size_t i = begin; i < end; ++i) {
@@ -810,21 +837,16 @@ void UdpCluster::shardLoop(ShardedExecutor::ShardContext& ctx) {
       pollSet.push_back(pfd);
       pollNode.push_back(i);
     }
-    int timeout = 1;
-    if (const auto dueAt = ctx.wheel().nextDue()) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(*dueAt - Clock::now());
-      timeout = static_cast<int>(std::clamp<long>(remaining.count(), 0, 50));
-    }
-    if (pollSet.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(std::max(timeout, 1)));
-    } else {
-      const int ready = ::poll(pollSet.data(), pollSet.size(), timeout);
-      if (ready > 0) {
-        for (std::size_t slot = 0; slot < pollSet.size(); ++slot) {
-          if ((pollSet[slot].revents & POLLIN) != 0) {
-            batchIngest(*nodes_[pollNode[slot]], scratch);
-          }
+    const timespec wait = toTimespec(ctx.wheel().waitFrom(Clock::now(), kMaxShardWait));
+    const int ready = ::ppoll(pollSet.data(), pollSet.size(), &wait, nullptr);
+    // Control plane right after the wait: commands observe node state
+    // quiesced between rounds, never mid-round, and a broadcast posted
+    // while the shard slept makes the round this wakeup fires.
+    ctx.drainMailbox();
+    if (ready > 0) {
+      for (std::size_t slot = 0; slot < pollSet.size(); ++slot) {
+        if ((pollSet[slot].revents & POLLIN) != 0) {
+          batchIngest(*nodes_[pollNode[slot]], scratch);
         }
       }
     }

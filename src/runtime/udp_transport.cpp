@@ -10,6 +10,7 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <thread>
 
 #include "codec/ball_codec.h"
@@ -80,6 +81,21 @@ SendStatus classifySendErrno(int error) {
   }
 }
 
+/// The area receiveBatch() points recvmmsg() at: one per thread, shared
+/// by every socket that thread drains (a shard drives many, one at a
+/// time), since each datagram is copied out at its received length
+/// before the call returns. Grown but never filled, so a call on an empty
+/// socket allocates and touches nothing.
+std::byte* receiveArea(std::size_t bytes) {
+  thread_local std::unique_ptr<std::byte[]> area;
+  thread_local std::size_t capacity = 0;
+  if (capacity < bytes) {
+    area = std::make_unique_for_overwrite<std::byte[]>(bytes);
+    capacity = bytes;
+  }
+  return area.get();
+}
+
 }  // namespace
 
 SendStatus UdpSocket::trySendTo(std::uint16_t port, const std::vector<std::byte>& frame) {
@@ -140,13 +156,14 @@ std::size_t UdpSocket::receiveBatch(std::vector<Datagram>& out, std::size_t maxB
   constexpr std::size_t kMaxIoBatch = 64;
   const std::size_t batch = std::min(maxBatch, kMaxIoBatch);
 
-  std::vector<std::vector<std::byte>> buffers(batch);
+  // Slot i starts at i * receiveBufferBytes_; recvmmsg writes only what
+  // arrives.
+  std::byte* const area = receiveArea(batch * receiveBufferBytes_);
   std::array<iovec, kMaxIoBatch> iovecs{};
   std::array<sockaddr_in, kMaxIoBatch> froms{};
   std::array<mmsghdr, kMaxIoBatch> messages{};
   for (std::size_t i = 0; i < batch; ++i) {
-    buffers[i].resize(receiveBufferBytes_);
-    iovecs[i] = {buffers[i].data(), buffers[i].size()};
+    iovecs[i] = {area + i * receiveBufferBytes_, receiveBufferBytes_};
     messages[i].msg_hdr.msg_iov = &iovecs[i];
     messages[i].msg_hdr.msg_iovlen = 1;
     messages[i].msg_hdr.msg_name = &froms[i];
@@ -169,9 +186,9 @@ std::size_t UdpSocket::receiveBatch(std::vector<Datagram>& out, std::size_t maxB
     if (froms[index].sin_family == AF_INET) {
       datagram.fromPort = ntohs(froms[index].sin_port);
     }
-    buffers[index].resize(
-        std::min<std::size_t>(messages[i].msg_len, receiveBufferBytes_));
-    datagram.bytes = std::move(buffers[index]);
+    const std::byte* const bytes = area + index * receiveBufferBytes_;
+    datagram.bytes.assign(
+        bytes, bytes + std::min<std::size_t>(messages[i].msg_len, receiveBufferBytes_));
     out.push_back(std::move(datagram));
   }
   return static_cast<std::size_t>(received);

@@ -84,7 +84,7 @@ class UdpSocket {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   /// The OS file descriptor — for callers multiplexing many sockets in
-  /// one poll() set (the sharded executor). Ownership stays here.
+  /// one ppoll() set (the sharded executor). Ownership stays here.
   [[nodiscard]] int nativeHandle() const noexcept { return fd_; }
 
   /// One transmission attempt to 127.0.0.1:`port`, classified.
@@ -116,8 +116,8 @@ class UdpSocket {
   /// blocks in poll() first; with 0 it goes straight to a non-blocking
   /// recvmmsg (the caller already knows the fd is readable — the sharded
   /// executor's poll loop). Returns the number appended (0 when nothing
-  /// was queued). Truncation is flagged per datagram exactly as in
-  /// receive().
+  /// was queued). Each datagram's bytes are copied out at its received
+  /// length. Truncation is flagged per datagram exactly as in receive().
   std::size_t receiveBatch(std::vector<Datagram>& out, std::size_t maxBatch,
                            int timeoutMillis);
 

@@ -108,6 +108,19 @@ TEST(TimerWheel, NextDueReportsTheEarliestArmedTimer) {
   EXPECT_EQ(*next, epoch() + 9ms);
 }
 
+// The shard loop sleeps for waitFrom(now, 50ms). A millisecond poll
+// timeout would truncate the 0.7 ms below to 0 and spin through it.
+TEST(TimerWheel, WaitRunsToTheNextSlotAtFullResolution) {
+  constexpr auto kCap = 50ms;
+  TimerWheel wheel(1ms, 16, epoch());
+  EXPECT_EQ(wheel.waitFrom(epoch(), kCap), kCap);  // nothing armed
+  wheel.schedule(1, epoch() + 5400us);               // slot 5 starts at 5 ms
+  EXPECT_EQ(wheel.waitFrom(epoch() + 4300us, kCap), 700us);
+  EXPECT_EQ(wheel.waitFrom(epoch() + 5ms, kCap), 0ns);
+  EXPECT_EQ(wheel.waitFrom(epoch() + 7ms, kCap), 0ns);  // past due, not negative
+  EXPECT_EQ(wheel.waitFrom(epoch() - 60ms, kCap), kCap);  // slot beyond the cap
+}
+
 TEST(TimerWheel, PreEpochDeadlinesClampToTickZero) {
   TimerWheel wheel(1ms, 16, epoch());
   wheel.schedule(4, epoch() - 5ms);
