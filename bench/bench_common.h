@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "obs/exporters.h"
-#include "obs/trace.h"
+#include "obs/flight_recorder.h"
 #include "workload/experiment.h"
 #include "workload/sweep.h"
 
@@ -181,14 +181,21 @@ inline void writeMetricsJsonl(BenchArgs& args, const std::string& label,
   writer.flush();
 }
 
-/// Open the --trace-out sink (lazily, like the metrics writer), point the
-/// global tracer at it in collection mode, and write the label line that
-/// starts this condition's segment. tools/epto_trace.py splits the file
-/// on those label lines, so one trace file carries a whole sweep.
+/// Open the --trace-out sink (lazily, like the metrics writer), widen the
+/// global flight recorder to every trace type with the sink attached, and
+/// write the label line that starts this condition's segment. The ring
+/// streams each record to the file as it is recorded, so there is nothing
+/// to flush between sections. tools/epto_trace.py splits the file on the
+/// label lines, so one trace file carries a whole sweep.
 inline void beginTraceSection(BenchArgs& args, const std::string& label) {
   if (args.traceOut.empty()) return;
   if (args.traceSink == nullptr) {
-    args.traceSink = std::make_shared<obs::JsonlTraceSink>(args.traceOut);
+    // Detach before closing: the global recorder outlives the sink.
+    args.traceSink = std::shared_ptr<obs::JsonlTraceSink>(
+        new obs::JsonlTraceSink(args.traceOut), [](obs::JsonlTraceSink* sink) {
+          obs::FlightRecorder::global().setSink(nullptr);
+          delete sink;
+        });
     if (!args.traceSink->ok()) {
       std::fprintf(stderr, "cannot open trace output: %s\n", args.traceOut.c_str());
       std::exit(2);
@@ -199,21 +206,12 @@ inline void beginTraceSection(BenchArgs& args, const std::string& label) {
                  "EPTO_TRACE=OFF; only label lines will be written\n",
                  args.binaryName.c_str());
 #endif
-    auto& tracer = obs::Tracer::global();
-    // Collection mode: a modest ring spilled to the sink on overflow, so
-    // the file is complete rather than truncated to the newest window.
-    tracer.configure(obs::Tracer::Options{.capacity = 1U << 16U, .flushOnFull = true});
-    tracer.setSink(args.traceSink);
-    tracer.setEnabled(true);
+    obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+    recorder.setTypeMask(obs::FlightRecorder::kFullMask);
+    recorder.setSink(args.traceSink.get());
   }
   args.traceSink->writeLine(std::string("{\"type\":\"label\",\"label\":\"") +
                             obs::escape(label) + "\"}");
-}
-
-/// Flush the condition's tail out of the tracer ring into the file.
-inline void endTraceSection(BenchArgs& args) {
-  if (args.traceSink == nullptr) return;
-  (void)obs::Tracer::global().flush();
 }
 
 /// Default the observability sampling stride when metrics are requested.
@@ -318,13 +316,12 @@ inline std::vector<workload::ExperimentResult> runSweep(
   std::vector<workload::ExperimentResult> results;
   if (!args.traceOut.empty()) {
     // Tracing forces sequential conditions: there is one process-global
-    // tracer, and the file is segmented by label lines — interleaved
+    // trace ring, and the file is segmented by label lines — interleaved
     // conditions would corrupt each other's segments.
     results.reserve(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
       beginTraceSection(args, items[i].label);
       results.push_back(workload::runExperiment(configs[i]));
-      endTraceSection(args);
     }
   } else {
     results = workload::runExperiments(configs, args.jobs);
@@ -353,7 +350,6 @@ inline workload::ExperimentResult runSeries(const std::string& label,
   applySamplingDefault(config, args);
   beginTraceSection(args, label);
   const auto result = workload::runExperiment(config);
-  endTraceSection(args);
   printConditionResult(label, result, args);
   writeMetricsJsonl(args, label, result);
   return result;

@@ -323,10 +323,10 @@ UdpScenarioResult runUdpScenario(UdpScenario& scenario, std::uint64_t seed,
   // per-scenario file next to the suite (CI uploads them on failure).
   // Drop records are off the default flight mask (one fires per
   // duplicate copy — too hot for production rings) but are exactly what
-  // a chaos post-mortem wants, and these clusters are small.
-  obs::FlightRecorder::global().setTypeMask(
-      obs::FlightRecorder::kDefaultMask |
-      obs::FlightRecorder::bitOf(obs::TraceType::Drop));
+  // a chaos post-mortem wants, and these clusters are small. OR the bit
+  // in: a --trace-out run has already widened the mask to every type.
+  obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+  recorder.setTypeMask(recorder.typeMask() | obs::traceTypeBit(obs::TraceType::Drop));
   scenario.options.flightDumpPath = "epto_flight_" + scenario.name + ".jsonl";
   std::remove(scenario.options.flightDumpPath.c_str());  // dumps append
   beginTraceSection(args, scenario.name);
@@ -339,7 +339,6 @@ UdpScenarioResult runUdpScenario(UdpScenario& scenario, std::uint64_t seed,
   UdpScenarioResult result;
   result.quiescent = cluster.awaitQuiescence(std::chrono::seconds(60));
   cluster.stop();
-  endTraceSection(args);
   result.report = cluster.report();
   // Scrape the batched-I/O histograms (DESIGN.md §16) out of the
   // cluster registry: batch-size p99s are the evidence that the

@@ -129,9 +129,10 @@ void OrderingComponent::deliverBatch() {
 #if defined(EPTO_TRACE_ENABLED)
   // The optimized delivery below never learns how many deliverable events
   // are blocked behind an unstable smaller key, but the stability trace
-  // reports exactly that. Reconstruct it with a full scan only when a
-  // trace consumer is attached; the hot path stays sublinear.
-  if (obs::detail::tracerOn()) {
+  // reports exactly that. Reconstruct it with a full scan only when the
+  // per-event stability type is traced too (a full trace, never the
+  // default mask); the hot path stays sublinear.
+  if (EPTO_TRACE_WANTS(BecameDeliverable)) {
     std::size_t stableCount = 0;
     std::size_t unblocked = 0;
     std::optional<OrderKey> minQueued;

@@ -12,6 +12,7 @@ namespace detail {
 
 // Static-initialized (constexpr) so trace points that fire before the
 // global recorder is first touched still see the default subscription.
+// It is global()'s mask: setTypeMask() on that instance writes the gate.
 std::atomic<std::uint32_t> flightActiveMask{FlightRecorder::kDefaultMask};
 
 void flightRecord(const TraceEvent& event) {
@@ -31,40 +32,17 @@ std::size_t roundUpPow2(std::size_t n) {
 }  // namespace
 
 FlightRecorder& FlightRecorder::global() {
-  static FlightRecorder recorder(kDefaultCapacity, &detail::flightActiveMask);
+  static FlightRecorder recorder(kDefaultCapacity, detail::flightActiveMask);
   return recorder;
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : FlightRecorder(capacity, nullptr) {}
+    : FlightRecorder(capacity, ownMask_) {}
 
-FlightRecorder::FlightRecorder(std::size_t capacity,
-                               std::atomic<std::uint32_t>* externalGate)
+FlightRecorder::FlightRecorder(std::size_t capacity, std::atomic<std::uint32_t>& mask)
     : capacity_(roundUpPow2(capacity == 0 ? 1 : capacity)),
       slots_(new Slot[capacity_]),
-      externalGate_(externalGate) {
-  publishGate();
-}
-
-void FlightRecorder::publishGate() {
-  const std::uint32_t active =
-      enabled_.load(std::memory_order_relaxed) ? mask_.load(std::memory_order_relaxed)
-                                               : 0;
-  active_.store(active, std::memory_order_relaxed);
-  if (externalGate_ != nullptr) {
-    externalGate_->store(active, std::memory_order_relaxed);
-  }
-}
-
-void FlightRecorder::setEnabled(bool enabled) {
-  enabled_.store(enabled, std::memory_order_relaxed);
-  publishGate();
-}
-
-void FlightRecorder::setTypeMask(std::uint32_t mask) {
-  mask_.store(mask, std::memory_order_relaxed);
-  publishGate();
-}
+      mask_(mask) {}
 
 void FlightRecorder::record(const TraceEvent& event) {
   EPTO_SCHEDULE_POINT("flight.record.claim");
@@ -88,6 +66,9 @@ void FlightRecorder::record(const TraceEvent& event) {
   slot.words[6].store(event.aux, std::memory_order_relaxed);
   EPTO_SCHEDULE_POINT("flight.record.close");
   slot.stamp.store(claim * 2 + 2, std::memory_order_release);
+  if (JsonlTraceSink* sink = sink_.load(std::memory_order_relaxed); sink != nullptr) {
+    sink->consume(event);
+  }
 }
 
 std::vector<FlightRecord> FlightRecorder::snapshot() const {

@@ -1,19 +1,23 @@
-// Flight recorder — the always-on, lock-free post-mortem ring.
+// Flight recorder — the one trace ring: always on, lock-free.
 //
-// The full Tracer records everything and is off by default because the
-// hot path cannot afford it. The flight recorder is the inverse trade:
-// on by default, subscribed only to the low-rate control-plane trace
-// types (round boundaries, ball traffic, faults — see kDefaultMask), cheap
-// enough to leave running in production: a writer claims a slot with one
-// relaxed fetch_add and fills it with relaxed atomic stores guarded by a
-// per-slot seqlock stamp. No mutex is ever taken on the record path.
+// Every EPTO_TRACE_EVENT lands here when its type is in the mask. The
+// default mask holds only the low-rate control-plane types (round
+// boundaries, ball traffic, faults — see kDefaultMask), cheap enough to
+// leave running in production: a writer claims a slot with one relaxed
+// fetch_add and fills it with relaxed atomic stores guarded by a per-slot
+// seqlock stamp. No mutex is ever taken on the record path.
 //
 // Its contents answer "what were the last N protocol decisions before
 // things went wrong": the UDP runtime dumps it when the stall watchdog
 // fires or a fault-plan crash takes a node down, and UdpCluster exposes
-// a manual dump API (the
-// SIGUSR2 idiom, minus the signal handler). Dumps are JSONL using the
-// same record shape as the tracer, so tools/epto_trace.py reads both.
+// a manual dump API (the SIGUSR2 idiom, minus the signal handler). Dumps
+// are JSONL in the traceEventJson() record shape, so tools/epto_trace.py
+// reads them.
+//
+// A full trace is kFullMask plus a JsonlTraceSink (setSink): each record
+// still fills its slot, and is also written to the sink as one JSON line
+// on the recording thread, so the file drops nothing and needs no drain.
+// Without a sink the record path pays one relaxed load for the check.
 //
 // Consistency model: a reader may race a writer lapping the ring. The
 // per-slot stamp (odd = write in progress, even = claim*2+2 released)
@@ -35,11 +39,10 @@
 
 namespace epto::obs {
 
-/// One recovered flight-ring entry: a compact POD image of a TraceEvent
-/// (the free-form note is not retained — flight slots are fixed-size).
+/// One recovered flight-ring entry.
 struct FlightRecord {
   std::uint64_t claim = 0;  ///< global record ordinal (dump sort key).
-  TraceEvent event;         ///< reconstructed event, note empty.
+  TraceEvent event;         ///< the recorded event, bit-exact.
 };
 
 /// Subscription-mask bit for one TraceType (compose with |).
@@ -53,11 +56,6 @@ class FlightRecorder {
   /// of round boundaries on every substrate.
   static constexpr std::size_t kDefaultCapacity = 8192;
 
-  /// Subscription-mask bit for one TraceType (alias of traceTypeBit).
-  [[nodiscard]] static constexpr std::uint32_t bitOf(TraceType type) noexcept {
-    return traceTypeBit(type);
-  }
-
   /// Default subscription: the per-round / per-anomaly control plane.
   /// The per-event types (FirstSeen, TtlMerge, Deliver, BecameDeliverable —
   /// and Drop, which fires once per *duplicate copy*, i.e. roughly
@@ -69,6 +67,8 @@ class FlightRecorder {
       traceTypeBit(TraceType::BallReceived) |
       traceTypeBit(TraceType::StabilityDecision) |
       traceTypeBit(TraceType::Fault);
+  /// Every TraceType: the full trace behind `--trace-out`.
+  static constexpr std::uint32_t kFullMask = (1U << kTraceTypeCount) - 1;
 
   /// The per-OS-process recorder EPTO_TRACE_EVENT feeds (through
   /// obs::detail::flightActiveMask / flightRecord).
@@ -80,23 +80,27 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  void setEnabled(bool enabled);
-  [[nodiscard]] bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
+  /// Which TraceTypes are recorded (traceTypeBit-composed); 0 turns
+  /// tracing off. Takes effect for subsequent records.
+  void setTypeMask(std::uint32_t mask) noexcept {
+    mask_.store(mask, std::memory_order_relaxed);
   }
-  /// Which TraceTypes are recorded (bitOf-composed). Takes effect for
-  /// subsequent records; the active gate is mask & enabled.
-  void setTypeMask(std::uint32_t mask);
   [[nodiscard]] std::uint32_t typeMask() const noexcept {
     return mask_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] bool wants(TraceType type) const noexcept {
-    return ((active_.load(std::memory_order_relaxed) >>
-             static_cast<unsigned>(type)) &
-            1U) != 0;
+    return ((typeMask() >> static_cast<unsigned>(type)) & 1U) != 0;
   }
 
-  /// Lock-free append (see header comment). Safe from any thread.
+  /// Also write every record to `sink` as it is recorded (nullptr
+  /// detaches). Attach and detach only while nothing records; the caller
+  /// keeps the sink alive while it is attached.
+  void setSink(JsonlTraceSink* sink) noexcept {
+    sink_.store(sink, std::memory_order_relaxed);
+  }
+
+  /// Lock-free append (see header comment), plus the sink write when one
+  /// is attached. Safe from any thread.
   void record(const TraceEvent& event);
 
   /// Consistent copies of every currently-readable slot, oldest first.
@@ -134,19 +138,16 @@ class FlightRecorder {
     std::array<std::atomic<std::uint64_t>, kWords> words{};
   };
 
-  explicit FlightRecorder(std::size_t capacity,
-                          std::atomic<std::uint32_t>* externalGate);
-  void publishGate();
+  FlightRecorder(std::size_t capacity, std::atomic<std::uint32_t>& mask);
 
   std::size_t capacity_;  ///< power of two.
   std::unique_ptr<Slot[]> slots_;
   std::atomic<std::uint64_t> cursor_{0};
-  std::atomic<bool> enabled_{true};
-  std::atomic<std::uint32_t> mask_{kDefaultMask};
-  std::atomic<std::uint32_t> active_{kDefaultMask};  ///< mask when enabled, else 0.
-  /// Mirror of active_ read by the EPTO_TRACE_EVENT macro; only the
-  /// global() instance has one (detail::flightActiveMask).
-  std::atomic<std::uint32_t>* externalGate_ = nullptr;
+  std::atomic<std::uint32_t> ownMask_{kDefaultMask};
+  /// ownMask_, except for global(), whose mask is the word the
+  /// EPTO_TRACE_EVENT macro reads (detail::flightActiveMask).
+  std::atomic<std::uint32_t>& mask_;
+  std::atomic<JsonlTraceSink*> sink_{nullptr};
   util::Mutex dumpMutex_;
 };
 

@@ -1,9 +1,6 @@
 #include "obs/trace.h"
 
 #include <cinttypes>
-#include <utility>
-
-#include "obs/exporters.h"
 
 namespace epto::obs {
 
@@ -41,35 +38,11 @@ std::string traceEventJson(const TraceEvent& event) {
   std::snprintf(buf, sizeof buf,
                 "{\"type\":\"%s\",\"node\":%u,\"round\":%" PRIu64
                 ",\"source\":%u,\"seq\":%u,\"ts\":%" PRIu64 ",\"ttl\":%u,\"size\":%" PRIu64
-                ",\"aux\":%" PRIu64 ",\"detail\":%u",
+                ",\"aux\":%" PRIu64 ",\"detail\":%u}",
                 traceTypeName(event.type), event.node, event.round, event.event.source,
                 event.event.sequence, event.ts, event.ttl, event.size, event.aux,
                 event.detail);
-  std::string json(buf);
-  if (!event.note.empty()) {
-    // The note is free-form (scenario names, fault descriptions): escape
-    // it or a single quote/backslash/control char corrupts the JSONL.
-    json += ",\"note\":\"";
-    json += escape(event.note);
-    json += '"';
-  }
-  json += '}';
-  return json;
-}
-
-void InMemorySink::consume(const TraceEvent& event) {
-  const util::MutexLock lock(mutex_);
-  events_.push_back(event);
-}
-
-std::vector<TraceEvent> InMemorySink::events() const {
-  const util::MutexLock lock(mutex_);
-  return events_;
-}
-
-void InMemorySink::clear() {
-  const util::MutexLock lock(mutex_);
-  events_.clear();
+  return buf;
 }
 
 JsonlTraceSink::JsonlTraceSink(const std::string& path)
@@ -93,120 +66,8 @@ void JsonlTraceSink::writeLine(std::string_view line) {
   std::string out(line);
   out += '\n';
   // One fwrite per line: stdio locks the FILE per call, so lines from
-  // concurrent flushes interleave whole, never torn.
+  // concurrent writers interleave whole, never torn.
   std::fwrite(out.data(), 1, out.size(), file_);
-}
-
-namespace detail {
-// Constant-initialized so trace points that fire before the global
-// tracer is first touched read a valid (false) gate.
-std::atomic<bool> tracerActiveFlag{false};
-}  // namespace detail
-
-Tracer& Tracer::global() {
-  static Tracer tracer;
-  // Wired once, under its own thread-safe static guard, before any
-  // caller can reach setEnabled() on the instance.
-  static const bool wired = [] {
-    tracer.externalGate_ = &detail::tracerActiveFlag;
-    return true;
-  }();
-  (void)wired;
-  return tracer;
-}
-
-void Tracer::configure(Options options) {
-  const util::MutexLock lock(mutex_);
-  options_ = options;
-  ring_.clear();
-  ring_.shrink_to_fit();
-  head_ = 0;
-  size_ = 0;
-  recorded_ = 0;
-  dropped_ = 0;
-}
-
-void Tracer::setSink(std::shared_ptr<TraceSink> sink) {
-  const util::MutexLock lock(mutex_);
-  sink_ = std::move(sink);
-}
-
-void Tracer::record(const TraceEvent& event) {
-  std::vector<TraceEvent> spill;
-  std::shared_ptr<TraceSink> sink;
-  {
-    const util::MutexLock lock(mutex_);
-    if (ring_.size() != options_.capacity) ring_.resize(options_.capacity);
-    if (options_.capacity == 0) {
-      ++dropped_;
-      return;
-    }
-    if (size_ == options_.capacity && options_.flushOnFull && sink_ != nullptr) {
-      // Collection mode: spill the full ring to the sink so the file
-      // stays complete. The I/O happens below, after the lock drops.
-      spill = takeBufferedLocked();
-      sink = sink_;
-    }
-    if (size_ == options_.capacity) {
-      // Full: overwrite the oldest slot — the tail of a long run matters
-      // more than its beginning, and dropped_ makes the loss visible.
-      ring_[head_] = event;
-      head_ = (head_ + 1) % options_.capacity;
-      ++dropped_;
-    } else {
-      ring_[(head_ + size_) % options_.capacity] = event;
-      ++size_;
-    }
-    ++recorded_;
-  }
-  if (sink != nullptr) {
-    for (const TraceEvent& spilled : spill) sink->consume(spilled);
-  }
-}
-
-std::vector<TraceEvent> Tracer::takeBufferedLocked() {
-  std::vector<TraceEvent> events;
-  events.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    events.push_back(ring_[(head_ + i) % options_.capacity]);
-  }
-  head_ = 0;
-  size_ = 0;
-  return events;
-}
-
-std::size_t Tracer::flush() {
-  std::vector<TraceEvent> events;
-  std::shared_ptr<TraceSink> sink;
-  {
-    const util::MutexLock lock(mutex_);
-    events = takeBufferedLocked();
-    sink = sink_;
-  }
-  if (sink != nullptr) {
-    for (const TraceEvent& event : events) sink->consume(event);
-  }
-  return events.size();
-}
-
-std::vector<TraceEvent> Tracer::drain() {
-  const util::MutexLock lock(mutex_);
-  return takeBufferedLocked();
-}
-
-std::size_t Tracer::buffered() const {
-  const util::MutexLock lock(mutex_);
-  return size_;
-}
-
-std::uint64_t Tracer::recorded() const {
-  const util::MutexLock lock(mutex_);
-  return recorded_;
-}
-
-std::uint64_t Tracer::dropped() const {
-  const util::MutexLock lock(mutex_);
-  return dropped_;
 }
 
 }  // namespace epto::obs

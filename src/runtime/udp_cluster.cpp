@@ -10,7 +10,6 @@
 #include "codec/fragment_codec.h"
 #include "obs/exporters.h"
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
 #include "util/ensure.h"
 
 namespace epto::runtime {
@@ -130,7 +129,7 @@ UdpCluster::UdpCluster(UdpClusterOptions options)
     }
     ports_.push_back(node->socket.port());
     node->process = makeProcess(id, /*incarnation=*/0);
-    node->controller = makeController(id);
+    attachController(*node);
     nodes_.push_back(std::move(node));
     lifetimes_[id] = metrics::ProcessLifetime{0, std::nullopt};
   }
@@ -216,9 +215,9 @@ std::unique_ptr<Process> UdpCluster::makeProcess(ProcessId id, std::uint32_t inc
   return process;
 }
 
-std::unique_ptr<adapt::FeedbackController> UdpCluster::makeController(
-    ProcessId id) const {
-  if (!options_.adaptive) return nullptr;
+void UdpCluster::attachController(NodeState& node) {
+  node.controller.reset();
+  if (!options_.adaptive) return;
   adapt::ControllerConfig config;
   config.worstCase.systemSize = options_.nodeCount;
   config.worstCase.c = options_.c;
@@ -227,8 +226,13 @@ std::unique_ptr<adapt::FeedbackController> UdpCluster::makeController(
   config.initialLossRate = options_.adaptiveInitialLoss;
   config.initialTtl = ttl_;
   config.initialFanout = fanout_;
-  config.self = id;
-  return std::make_unique<adapt::FeedbackController>(config);
+  config.self = node.id;
+  node.controller = std::make_unique<adapt::FeedbackController>(config);
+  // A manual override outside the Lemma-safe envelope was clamped;
+  // keep process and controller agreeing from round one.
+  if (node.controller->ttl() != ttl_ || node.controller->fanout() != fanout_) {
+    node.process->retune(node.controller->ttl(), node.controller->fanout());
+  }
 }
 
 Timestamp UdpCluster::ticksNow() const {
@@ -333,7 +337,7 @@ void UdpCluster::leaveCrash(NodeState& node) {
   node.process = makeProcess(node.id, node.incarnation);
   // Fresh incarnation, fresh controller: it restarts from the static
   // tuning and re-learns current conditions alongside the new Process.
-  node.controller = makeController(node.id);
+  attachController(node);
   node.lastBallsReceived = 0;
   {
     const util::MutexLock lock(trackerMutex_);
@@ -524,7 +528,6 @@ void UdpCluster::publishTransportMetrics() {
   if (options_.hardenIngress) {
     core::recordIngressStats(ingressGuardStats(), registry_);
   }
-  registry_.counter("epto_trace_dropped_total").set(obs::Tracer::global().dropped());
   registry_.counter("epto_flight_dropped_total")
       .set(obs::FlightRecorder::global().dropped());
   for (std::size_t shard = 0; shard < executor_->shardCount(); ++shard) {

@@ -340,9 +340,10 @@ class UdpCluster {
   [[nodiscard]] std::chrono::microseconds jitteredPeriod(util::Rng& rng) const;
   [[nodiscard]] std::unique_ptr<Process> makeProcess(ProcessId id,
                                                      std::uint32_t incarnation);
-  /// Fresh controller at the static tuning (null when adaptation is off).
-  [[nodiscard]] std::unique_ptr<adapt::FeedbackController> makeController(
-      ProcessId id) const;
+  /// Give `node` a fresh controller at the static tuning (none when
+  /// adaptation is off) and retune its process to the controller's
+  /// Lemma-clamped start.
+  void attachController(NodeState& node);
   void enterCrash(NodeState& node) EPTO_EXCLUDES(trackerMutex_);
   void leaveCrash(NodeState& node) EPTO_EXCLUDES(trackerMutex_);
   void flushHeldBack(NodeState& node);

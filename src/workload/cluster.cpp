@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/flight_recorder.h"
-#include "obs/trace.h"
 #include "pss/uniform_sampler.h"
 #include "util/ensure.h"
 
@@ -839,12 +837,6 @@ void SimCluster::run() {
   if (config_.adaptive.enabled) {
     registry_.counter("epto_sim_retunes_total").set(retunes);
   }
-  // Trace-loss accounting (ISSUE satellite): a run that overflowed the
-  // tracer ring or the flight recorder says so in its own metrics, so an
-  // incomplete trace file is distinguishable from a quiet run.
-  registry_.counter("epto_trace_dropped_total").set(obs::Tracer::global().dropped());
-  registry_.counter("epto_flight_dropped_total")
-      .set(obs::FlightRecorder::global().dropped());
   if (faults_ != nullptr) faults_->recordTo(registry_);
   if (adversary_ != nullptr) adversary_->recordTo(registry_);
   if (adversary_ != nullptr || config_.hardenIngress) {

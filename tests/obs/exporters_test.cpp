@@ -20,6 +20,10 @@ TEST(EscapeTest, EscapesQuotesBackslashesAndNewlines) {
   EXPECT_EQ(escape("a\"b"), "a\\\"b");
   EXPECT_EQ(escape("a\\b"), "a\\\\b");
   EXPECT_EQ(escape("a\nb"), "a\\nb");
+  // Flight-dump reasons and bench labels are free-form: tabs and other
+  // control characters must not leak raw into a JSON line either.
+  EXPECT_EQ(escape("a\tb"), "a\\tb");
+  EXPECT_EQ(escape("a\x01z"), "a\\u0001z");
 }
 
 TEST(PrometheusTextTest, GoldenCounterGaugeHistogram) {

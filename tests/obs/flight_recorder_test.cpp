@@ -1,5 +1,6 @@
 // FlightRecorder semantics: lock-free record/snapshot, ring lapping,
-// subscription masks, the macro gate mirror, and JSONL dumps.
+// subscription masks, the macro gate word, JSONL dumps, and the sink
+// stream behind full traces.
 #include "obs/flight_recorder.h"
 
 #include <gtest/gtest.h>
@@ -68,35 +69,35 @@ TEST(FlightRecorderTest, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(FlightRecorderTest, MaskAndEnableGateWants) {
   FlightRecorder recorder(8);
-  EXPECT_TRUE(recorder.enabled());
   EXPECT_EQ(recorder.typeMask(), FlightRecorder::kDefaultMask);
   EXPECT_TRUE(recorder.wants(TraceType::Broadcast));
   EXPECT_FALSE(recorder.wants(TraceType::FirstSeen));  // per-event, off by default
 
-  recorder.setTypeMask(FlightRecorder::bitOf(TraceType::FirstSeen));
+  recorder.setTypeMask(traceTypeBit(TraceType::FirstSeen));
   EXPECT_TRUE(recorder.wants(TraceType::FirstSeen));
   EXPECT_FALSE(recorder.wants(TraceType::Broadcast));
 
-  recorder.setEnabled(false);
+  // Mask 0 is the off switch; the full mask enables every type.
+  recorder.setTypeMask(0);
   EXPECT_FALSE(recorder.wants(TraceType::FirstSeen));
-  recorder.setEnabled(true);
-  EXPECT_TRUE(recorder.wants(TraceType::FirstSeen));
+  recorder.setTypeMask(FlightRecorder::kFullMask);
+  for (std::size_t type = 0; type < kTraceTypeCount; ++type) {
+    EXPECT_TRUE(recorder.wants(static_cast<TraceType>(type))) << type;
+  }
 }
 
 TEST(FlightRecorderTest, GlobalGateMirrorsIntoMacroWord) {
+  // The global recorder's mask is the word EPTO_TRACE_EVENT reads.
   auto& recorder = FlightRecorder::global();
   const auto savedMask = recorder.typeMask();
-  const bool savedEnabled = recorder.enabled();
 
-  recorder.setEnabled(true);
-  recorder.setTypeMask(FlightRecorder::bitOf(TraceType::Fault));
+  recorder.setTypeMask(traceTypeBit(TraceType::Fault));
   EXPECT_TRUE(detail::flightWants(TraceType::Fault));
   EXPECT_FALSE(detail::flightWants(TraceType::Broadcast));
-  recorder.setEnabled(false);
+  recorder.setTypeMask(0);
   EXPECT_FALSE(detail::flightWants(TraceType::Fault));
 
   recorder.setTypeMask(savedMask);
-  recorder.setEnabled(savedEnabled);
 }
 
 TEST(FlightRecorderTest, ResetClearsRingAndCounters) {
@@ -164,6 +165,91 @@ TEST(FlightRecorderTest, ConcurrentWritersNeverTearRecords) {
   for (std::size_t i = 1; i < records.size(); ++i) {
     EXPECT_EQ(records[i].claim, records[i - 1].claim + 1);
   }
+}
+
+std::vector<std::string> readLines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(FlightRecorderTest, SinkStreamsEveryRecordWhileRingKeepsNewest) {
+  // A full trace is the ring plus a sink: the file gets every record in
+  // record order, while the ring still laps and keeps only the newest.
+  const std::string path = ::testing::TempDir() + "flight_sink_test.jsonl";
+  std::remove(path.c_str());
+  FlightRecorder recorder(4);
+  {
+    JsonlTraceSink sink(path);
+    ASSERT_TRUE(sink.ok());
+    recorder.setSink(&sink);
+    for (std::uint32_t i = 0; i < 10; ++i) recorder.record(eventWithSeq(i));
+    recorder.setSink(nullptr);
+    recorder.record(eventWithSeq(10));  // detached: ring only
+  }
+  const auto lines = readLines(path);
+  ASSERT_EQ(lines.size(), 10u);
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(lines[i], traceEventJson(eventWithSeq(i))) << i;
+  }
+  const auto records = recorder.snapshot();
+  ASSERT_EQ(records.size(), 4u);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(records[i].event.event.sequence, 7 + i);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FlightRecorderTest, ConcurrentWritersStreamWholeLinesInWriterOrder) {
+  // 4 writers through a sink while a reader snapshots: the file holds
+  // every record as one whole line, each writer's records in its own
+  // order, and the ring's concurrent snapshots stay untorn.
+  const std::string path = ::testing::TempDir() + "flight_sink_mt_test.jsonl";
+  std::remove(path.c_str());
+  constexpr ProcessId kWriters = 4;
+  constexpr std::uint32_t kPerWriter = 5000;
+  const auto eventFor = [](ProcessId writer, std::uint32_t seq) {
+    TraceEvent event = eventWithSeq(seq);
+    event.node = writer;
+    return event;
+  };
+  FlightRecorder recorder(16);
+  {
+    JsonlTraceSink sink(path);
+    ASSERT_TRUE(sink.ok());
+    recorder.setSink(&sink);
+    std::vector<std::thread> writers;
+    writers.reserve(kWriters);
+    for (ProcessId w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&recorder, &eventFor, w] {
+        for (std::uint32_t i = 0; i < kPerWriter; ++i) recorder.record(eventFor(w, i));
+      });
+    }
+    for (int pass = 0; pass < 50; ++pass) {
+      for (const auto& record : recorder.snapshot()) {
+        ASSERT_EQ(record.event.ts, 1000 + record.event.event.sequence);
+        ASSERT_EQ(record.event.aux, 77u);
+      }
+    }
+    for (auto& t : writers) t.join();
+    recorder.setSink(nullptr);
+  }
+  const auto lines = readLines(path);
+  ASSERT_EQ(lines.size(), std::size_t{kWriters} * kPerWriter);
+  std::vector<std::uint32_t> next(kWriters, 0);
+  for (const std::string& line : lines) {
+    // Identify the writer, then demand the exact line its next record
+    // encodes to: a torn or reordered line cannot match.
+    const auto at = line.find("\"node\":");
+    ASSERT_NE(at, std::string::npos) << line;
+    const auto writer = static_cast<ProcessId>(std::stoul(line.substr(at + 7)));
+    ASSERT_LT(writer, kWriters) << line;
+    ASSERT_EQ(line, traceEventJson(eventFor(writer, next[writer])));
+    ++next[writer];
+  }
+  for (ProcessId w = 0; w < kWriters; ++w) EXPECT_EQ(next[w], kPerWriter) << w;
+  std::remove(path.c_str());
 }
 
 }  // namespace

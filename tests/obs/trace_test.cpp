@@ -1,13 +1,11 @@
-// Tracer semantics: ring wraparound, sinks, runtime enable gate, and the
-// EPTO_TRACE_EVENT macro integration (compile-time gated).
+// Trace event encoding, the JSONL sink, and the EPTO_TRACE_EVENT macro's
+// one-word gate into the flight recorder (compile-time gated).
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <memory>
-#include <sstream>
 #include <string>
 
 #include "obs/flight_recorder.h"
@@ -20,66 +18,6 @@ TraceEvent eventWithSeq(std::uint32_t seq) {
   event.type = TraceType::Deliver;
   event.event = EventId{.source = 1, .sequence = seq};
   return event;
-}
-
-TEST(TracerTest, RecordAndDrainOldestFirst) {
-  Tracer tracer(Tracer::Options{.capacity = 8});
-  for (std::uint32_t i = 0; i < 3; ++i) tracer.record(eventWithSeq(i));
-  EXPECT_EQ(tracer.buffered(), 3u);
-  EXPECT_EQ(tracer.recorded(), 3u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-  const auto events = tracer.drain();
-  ASSERT_EQ(events.size(), 3u);
-  for (std::uint64_t i = 0; i < 3; ++i) EXPECT_EQ(events[i].event.sequence, i);
-  EXPECT_EQ(tracer.buffered(), 0u);
-}
-
-TEST(TracerTest, RingWrapsOverwritingOldest) {
-  Tracer tracer(Tracer::Options{.capacity = 4});
-  for (std::uint32_t i = 0; i < 10; ++i) tracer.record(eventWithSeq(i));
-  EXPECT_EQ(tracer.buffered(), 4u);
-  EXPECT_EQ(tracer.recorded(), 10u);
-  EXPECT_EQ(tracer.dropped(), 6u);  // the six oldest were overwritten
-  const auto events = tracer.drain();
-  ASSERT_EQ(events.size(), 4u);
-  // Survivors are the newest four, still oldest-first.
-  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].event.sequence, 6 + i);
-}
-
-TEST(TracerTest, FlushPushesToSinkAndClears) {
-  Tracer tracer(Tracer::Options{.capacity = 8});
-  auto sink = std::make_shared<InMemorySink>();
-  tracer.setSink(sink);
-  tracer.record(eventWithSeq(0));
-  tracer.record(eventWithSeq(1));
-  EXPECT_EQ(tracer.flush(), 2u);
-  EXPECT_EQ(tracer.buffered(), 0u);
-  const auto events = sink->events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].event.sequence, 0u);
-  EXPECT_EQ(events[1].event.sequence, 1u);
-  EXPECT_EQ(tracer.flush(), 0u);  // nothing left
-}
-
-TEST(TracerTest, ConfigureResetsRingAndCounts) {
-  Tracer tracer(Tracer::Options{.capacity = 2});
-  tracer.record(eventWithSeq(0));
-  tracer.record(eventWithSeq(1));
-  tracer.record(eventWithSeq(2));
-  EXPECT_GT(tracer.dropped(), 0u);
-  tracer.configure(Tracer::Options{.capacity = 16});
-  EXPECT_EQ(tracer.buffered(), 0u);
-  EXPECT_EQ(tracer.recorded(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-}
-
-TEST(TracerTest, EnabledFlagDefaultsOff) {
-  Tracer tracer;
-  EXPECT_FALSE(tracer.enabled());
-  tracer.setEnabled(true);
-  EXPECT_TRUE(tracer.enabled());
-  tracer.setEnabled(false);
-  EXPECT_FALSE(tracer.enabled());
 }
 
 TEST(TraceEventTest, NamesAndJson) {
@@ -95,63 +33,11 @@ TEST(TraceEventTest, NamesAndJson) {
   event.ts = 1000;
   event.ttl = 5;
   event.size = 1;
-  const std::string json = traceEventJson(event);
-  EXPECT_NE(json.find("\"type\":\"deliver\""), std::string::npos);
-  EXPECT_NE(json.find("\"node\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"source\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"seq\":9"), std::string::npos);
-  EXPECT_NE(json.find("\"ts\":1000"), std::string::npos);
-  EXPECT_EQ(json.find('\n'), std::string::npos);  // single line
-}
-
-TEST(TraceEventTest, NoteIsEscapedAndRoundTrips) {
-  TraceEvent event;
-  event.type = TraceType::Fault;
-  event.note = "quote:\" backslash:\\ newline:\n tab:\t ctrl:\x01 end";
-  const std::string json = traceEventJson(event);
-  EXPECT_EQ(json.find('\n'), std::string::npos);  // still a single line
-  EXPECT_NE(json.find("\\\""), std::string::npos);
-  EXPECT_NE(json.find("\\\\"), std::string::npos);
-  EXPECT_NE(json.find("\\n"), std::string::npos);
-  EXPECT_NE(json.find("\\t"), std::string::npos);
-  EXPECT_NE(json.find("\\u0001"), std::string::npos);
-  // Round trip through a minimal JSON string unescape: the encoded note
-  // must decode back to exactly the original bytes.
-  const auto key = json.find("\"note\":\"");
-  ASSERT_NE(key, std::string::npos);
-  std::string decoded;
-  for (std::size_t i = key + 8; i < json.size(); ++i) {
-    const char c = json[i];
-    if (c == '"') break;
-    if (c != '\\') {
-      decoded.push_back(c);
-      continue;
-    }
-    ASSERT_LT(i + 1, json.size());
-    const char esc = json[++i];
-    switch (esc) {
-      case 'n': decoded.push_back('\n'); break;
-      case 't': decoded.push_back('\t'); break;
-      case 'r': decoded.push_back('\r'); break;
-      case '"': decoded.push_back('"'); break;
-      case '\\': decoded.push_back('\\'); break;
-      case 'u': {
-        ASSERT_LE(i + 4, json.size() - 1);
-        decoded.push_back(static_cast<char>(
-            std::stoi(json.substr(i + 1, 4), nullptr, 16)));
-        i += 4;
-        break;
-      }
-      default: FAIL() << "unexpected escape " << esc;
-    }
-  }
-  EXPECT_EQ(decoded, event.note);
-}
-
-TEST(TraceEventTest, EmptyNoteOmitted) {
-  TraceEvent event;
-  event.type = TraceType::Broadcast;
-  EXPECT_EQ(traceEventJson(event).find("\"note\""), std::string::npos);
+  // One line, byte for byte: trace files, flight dumps and
+  // tools/epto_trace.py all share this shape.
+  EXPECT_EQ(traceEventJson(event),
+            R"({"type":"deliver","node":3,"round":7,"source":2,"seq":9,"ts":1000,)"
+            R"("ttl":5,"size":1,"aux":0,"detail":0})");
 }
 
 TEST(JsonlTraceSinkTest, WritesWholeLinesImmediately) {
@@ -173,51 +59,47 @@ TEST(JsonlTraceSinkTest, WritesWholeLinesImmediately) {
   std::remove(path.c_str());
 }
 
-TEST(TracerTest, FlushOnFullSpillsToSinkInsteadOfDropping) {
-  Tracer tracer(Tracer::Options{.capacity = 4, .flushOnFull = true});
-  auto sink = std::make_shared<InMemorySink>();
-  tracer.setSink(sink);
-  for (std::uint32_t i = 0; i < 10; ++i) tracer.record(eventWithSeq(i));
-  EXPECT_EQ(tracer.dropped(), 0u);
-  (void)tracer.flush();
-  const auto events = sink->events();
-  ASSERT_EQ(events.size(), 10u);
-  for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(events[i].event.sequence, i);
-}
-
 #if defined(EPTO_TRACE_ENABLED)
-// With tracing compiled in, the macro records into the global tracer only
-// while it is enabled. (With EPTO_TRACE=OFF this whole test compiles away,
-// mirroring the zero-overhead guarantee.)
+// With tracing compiled in, the macro records only while the global
+// recorder's mask holds the type; mask 0 is off, and an off trace point
+// evaluates none of its initializers. (With EPTO_TRACE=OFF these tests
+// compile away, mirroring the zero-overhead guarantee.)
 TEST(TraceMacroTest, RecordsOnlyWhileEnabled) {
-  auto& tracer = Tracer::global();
-  tracer.configure(Tracer::Options{.capacity = 64});
-  tracer.setEnabled(false);
+  auto& flight = FlightRecorder::global();
+  flight.reset();
+  flight.setTypeMask(0);
 
-  EPTO_TRACE_EVENT(Broadcast, .node = 1);
-  EXPECT_EQ(tracer.buffered(), 0u);
+  int evaluations = 0;
+  const auto touch = [&evaluations]() -> std::uint64_t {
+    ++evaluations;
+    return 2;
+  };
+  EPTO_TRACE_EVENT(Broadcast, .node = 1, .size = touch());
+  EXPECT_EQ(evaluations, 0);
+  EXPECT_EQ(flight.recorded(), 0u);
 
-  tracer.setEnabled(true);
-  EPTO_TRACE_EVENT(Broadcast, .node = 1, .size = 2);
-  tracer.setEnabled(false);
+  flight.setTypeMask(traceTypeBit(TraceType::Broadcast));
+  EPTO_TRACE_EVENT(Broadcast, .node = 1, .size = touch());
+  flight.setTypeMask(0);
+  EPTO_TRACE_EVENT(Broadcast, .node = 1, .size = touch());
 
-  const auto events = tracer.drain();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].type, TraceType::Broadcast);
-  EXPECT_EQ(events[0].node, 1u);
-  EXPECT_EQ(events[0].size, 2u);
+  EXPECT_EQ(evaluations, 1);
+  const auto records = flight.snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].event.type, TraceType::Broadcast);
+  EXPECT_EQ(records[0].event.node, 1u);
+  EXPECT_EQ(records[0].event.size, 2u);
+
+  flight.reset();
+  flight.setTypeMask(FlightRecorder::kDefaultMask);  // restore for other tests
 }
 
-// The macro's second consumer: the flight recorder receives subscribed
-// types even while the tracer is disabled, and unsubscribed types cost
-// nothing (the initializer expressions are not evaluated).
+// Subscribed types reach the ring; unsubscribed types cost nothing (the
+// initializer expressions are not evaluated).
 TEST(TraceMacroTest, FeedsFlightRecorderBySubscription) {
   auto& flight = FlightRecorder::global();
-  auto& tracer = Tracer::global();
-  tracer.setEnabled(false);
   flight.reset();
   flight.setTypeMask(traceTypeBit(TraceType::Fault));
-  flight.setEnabled(true);
 
   int evaluations = 0;
   const auto touch = [&evaluations]() -> std::uint64_t {

@@ -11,10 +11,12 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/parameters.h"
 #include "codec/ball_codec.h"
 #include "core/config.h"
 #include "core/ingress_guard.h"
 #include "codec/fragment_codec.h"
+#include "fault/fault_plan.h"
 #include "runtime/udp_cluster.h"
 #include "runtime/udp_transport.h"
 #include "util/ensure.h"
@@ -662,6 +664,55 @@ TEST(UdpCluster, DerivedParametersExposed) {
   const UdpCluster overridden(options);
   EXPECT_EQ(overridden.fanoutUsed(), 5u);
   EXPECT_EQ(overridden.ttlUsed(), 9u);
+}
+
+/// The value of one node's gauge in the cluster's registry, or -1.
+std::int64_t nodeGauge(UdpCluster& cluster, const std::string& name, std::size_t node) {
+  const obs::Labels labels{{"node", std::to_string(node)}};
+  for (const obs::Sample& sample : cluster.metricsRegistry().snapshot()) {
+    if (sample.name == name && sample.labels == labels) return sample.gauge;
+  }
+  return -1;
+}
+
+TEST(UdpCluster, AdaptiveProcessStartsInsideTheLemmaSafeEnvelope) {
+  // A TTL override below the Lemma-safe envelope is clamped by each
+  // node's controller; the node's process must run at that clamped start
+  // too, both at construction and after a crash-restart.
+  fault::FaultPlan plan;
+  plan.crash(15'000, 1, /*restartAt=*/60'000);
+  UdpClusterOptions options;
+  options.nodeCount = 6;
+  options.clockMode = ClockMode::Logical;
+  options.adaptive = true;
+  options.ttlOverride = 1;
+  options.roundPeriod = 3ms;
+  options.seed = 41;
+  options.faultPlan = &plan;
+  const analysis::ParameterBounds bounds = analysis::lemmaSafeBounds(
+      analysis::ParameterInputs{.systemSize = options.nodeCount,
+                                .c = options.c,
+                                .logicalTime = true,
+                                .messageLossRate = options.adaptiveWorstCaseLoss});
+  ASSERT_GT(bounds.lower.ttl, 1u);  // the override really is outside
+
+  UdpCluster cluster(options);
+  const auto lower = static_cast<std::int64_t>(bounds.lower.ttl);
+  const auto upper = static_cast<std::int64_t>(bounds.upper.ttl);
+  EXPECT_EQ(nodeGauge(cluster, "epto_adapt_ttl", 0), lower);
+  cluster.start();
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (cluster.faultController()->stats().restarts == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "node 1 never restarted";
+    std::this_thread::sleep_for(1ms);
+  }
+  std::this_thread::sleep_for(250ms);  // rounds of the reborn node
+  cluster.stop();
+  for (std::size_t node : {0, 1}) {
+    const std::int64_t ttl = nodeGauge(cluster, "epto_adapt_ttl", node);
+    EXPECT_GE(ttl, lower) << "node " << node;
+    EXPECT_LE(ttl, upper) << "node " << node;
+  }
 }
 
 TEST(UdpCluster, RejectsDegenerateOptions) {

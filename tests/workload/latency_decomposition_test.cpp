@@ -90,18 +90,5 @@ TEST(LatencyDecomposition, HistogramsSurfaceInExperimentMetrics) {
   EXPECT_GT(endToEndCount, 0u);
 }
 
-TEST(LatencyDecomposition, DroppedTraceCounterExported) {
-  // The cluster publishes the global tracer's dropped count so truncated
-  // traces are visible in the same scrape as everything else.
-  SimCluster cluster(tinyConfig());
-  cluster.run();
-  (void)cluster.result();
-  bool found = false;
-  for (const auto& sample : cluster.metricsRegistry().snapshot()) {
-    if (sample.name == "epto_trace_dropped_total") found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
 }  // namespace
 }  // namespace epto::workload

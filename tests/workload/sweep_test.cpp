@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "obs/exporters.h"
 #include "util/ensure.h"
 #include "workload/sweep.h"
 
@@ -40,6 +41,12 @@ void expectSameResult(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.report.delays.total(), b.report.delays.total());
   EXPECT_EQ(a.report.delays.percentile(0.50), b.report.delays.percentile(0.50));
   EXPECT_EQ(a.report.delays.percentile(0.99), b.report.delays.percentile(0.99));
+  // Every exported metric too: a run's registry must describe that run
+  // alone, not whatever else shared its process.
+  ASSERT_EQ(a.metrics.size(), b.metrics.size());
+  for (std::size_t i = 0; i < a.metrics.size(); ++i) {
+    EXPECT_EQ(obs::sampleJson(a.metrics[i]), obs::sampleJson(b.metrics[i]));
+  }
 }
 
 TEST(SweepTest, JobCountDoesNotChangeResults) {
