@@ -369,8 +369,7 @@ UdpScenarioResult runUdpScenario(UdpScenario& scenario, std::uint64_t seed,
       "\"truncated\":%llu,\"frames_rejected\":%llu,\"send_failures\":%llu,"
       "\"send_retries\":%llu,\"watchdog_recoveries\":%llu,"
       "\"fragment_drops\":%llu,"
-      "\"shards\":%zu,\"recv_batch_p99\":%.1f,\"send_batch_p99\":%.1f,"
-      "\"mailbox_post_rejections\":%llu}\n",
+      "\"shards\":%zu,\"recv_batch_p99\":%.1f,\"send_batch_p99\":%.1f}\n",
       scenario.name.c_str(), result.deliveryRate > 1.0 ? 1.0 : result.deliveryRate,
       result.quiescent ? "true" : "false",
       static_cast<unsigned long long>(report.orderViolations),
@@ -393,8 +392,7 @@ UdpScenarioResult runUdpScenario(UdpScenario& scenario, std::uint64_t seed,
       static_cast<unsigned long long>(cluster.watchdogRecoveries()),
       static_cast<unsigned long long>(faults != nullptr ? faults->stats().fragmentDrops
                                                         : 0),
-      cluster.shardCountUsed(), result.recvBatchP99, result.sendBatchP99,
-      static_cast<unsigned long long>(cluster.mailboxPostRejections()));
+      cluster.shardCountUsed(), result.recvBatchP99, result.sendBatchP99);
   std::fflush(stdout);
   if (!result.quiescent) {
     std::fprintf(stderr, "%s: quiescence timeout: %s\n", scenario.name.c_str(),

@@ -3,8 +3,9 @@
 // the delay grows logarithmically with n (two orders of magnitude in n
 // less than doubles the delay).
 //
-// Default scale stops at 2,000 processes (single-core machine); pass
-// --paper-scale for the full sweep.
+// Default scale stops at 1,000 processes; --paper-scale names the
+// published sizes, which need far more memory than one 16 GiB host has
+// at n=10,000 (EXPERIMENTS.md, "Deviations & scale caps").
 #include <vector>
 
 #include "bench_common.h"

@@ -18,7 +18,7 @@
 namespace epto::check {
 namespace detail {
 
-thread_local TaskHandle* currentTask = nullptr;
+constinit thread_local TaskHandle* currentTask = nullptr;
 
 namespace {
 

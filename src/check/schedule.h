@@ -109,11 +109,11 @@ struct ExploreReport {
 /// report. Outside exploration it degrades to EPTO_ENSURE.
 void expect(bool condition, const char* message);
 
-/// Cooperative mutex for test harness code (e.g. serializing two
-/// producer tasks onto an SPSC ring the way ShardedExecutor::post's
-/// producer mutex does). Acquisition is a schedule point; a contended
-/// lock deschedules the task until the holder releases. Only usable
-/// inside explorer task bodies.
+/// Cooperative mutex for test harness code (e.g. serializing the
+/// TimerWheel's two callers the way their shard's thread does).
+/// Acquisition is a schedule point; a contended lock deschedules the
+/// task until the holder releases. Only usable inside explorer task
+/// bodies.
 class ModelMutex {
  public:
   void lock();

@@ -1,8 +1,8 @@
 // SchedulePoint — the instrumentation hook the schedule explorer drives.
 //
 // TSan only sees the interleavings the OS happens to schedule; the
-// lock-free surface grown in PR 9 (SPSC mailboxes, timer wheels, the
-// seqlock flight recorder) deserves better than luck. Concurrency
+// concurrent surface (timer wheels, the seqlock flight recorder, and
+// util::Mutex's cooperative lock) deserves better than luck. Concurrency
 // decision points in those components call EPTO_SCHEDULE_POINT("label"):
 //
 //   * in a normal process the hook is one thread_local load and a
@@ -30,8 +30,11 @@ class TaskHandle;
 
 /// Non-null only on threads created by the schedule explorer; everything
 /// in this header branches on it, so instrumented code in a normal
-/// process never takes a lock or makes a call.
-extern thread_local TaskHandle* currentTask;
+/// process never takes a lock or makes a call. constinit rules out a
+/// dynamic initializer, so GCC reads the slot directly instead of going
+/// through its thread_local wrapper, whose weak init-function test
+/// UBSan's null check misreports as a null-pointer load.
+extern thread_local constinit TaskHandle* currentTask;
 
 /// Park the calling task at a named decision point until the controller
 /// grants it the next step. Only called via EPTO_SCHEDULE_POINT, and

@@ -13,8 +13,8 @@ namespace epto {
 namespace {
 
 /// Pooled Ball buffers kept per component. Small: a slot is only held
-/// while some consumer (network in flight, runtime mailbox) retains the
-/// ball, and one round produces one ball.
+/// while some consumer (a simulated network in flight, the UDP encoder)
+/// retains the ball, and one round produces one ball.
 constexpr std::size_t kBallPoolSlots = 4;
 
 }  // namespace

@@ -108,7 +108,7 @@ class DisseminationComponent {
   // paper's "procedures executed atomically"); drivers serialize
   // broadcast()/onBall()/onRound() per process, so a lock here would
   // only hide a driver bug. Cross-thread ingress belongs in the driver
-  // (the shard mailbox and IngressQueue), never in this class.
+  // (the pending-broadcast list and IngressQueue), never in this class.
 
   /// Merge one id-sorted run of events into nextBall_ (duplicates keep
   /// the existing copy with the max ttl of both; expired run entries are

@@ -94,7 +94,6 @@ UdpCluster::UdpCluster(UdpClusterOptions options)
                   "sendBackoff initialDelay must not be negative");
   EPTO_ENSURE_MSG(options_.sendBackoff.multiplier >= 1.0,
                   "sendBackoff multiplier must be at least 1");
-  EPTO_ENSURE_MSG(options_.mailboxCapacity > 0, "mailboxCapacity must be positive");
   if (faults_ != nullptr) {
     EPTO_ENSURE_MSG(faults_->plan().maxNode() < options_.nodeCount,
                     "fault plan targets a node beyond the cluster size");
@@ -159,13 +158,8 @@ UdpCluster::UdpCluster(UdpClusterOptions options)
   ShardedExecutorOptions exec;
   exec.nodeCount = options_.nodeCount;
   exec.shardCount = options_.shardCount;
-  exec.mailboxCapacity = options_.mailboxCapacity;
   executor_ = std::make_unique<ShardedExecutor>(
       exec, [this](ShardedExecutor::ShardContext& ctx) { shardLoop(ctx); });
-  // Pre-register the per-shard mailbox gauges too.
-  for (std::size_t shard = 0; shard < executor_->shardCount(); ++shard) {
-    registry_.gauge("epto_shard_queue_depth", {{"shard", std::to_string(shard)}});
-  }
 
   auto scrapeInterval = options_.scrapeInterval;
   if (scrapeInterval.count() == 0 && !options_.metricsOutPath.empty()) {
@@ -243,7 +237,6 @@ Timestamp UdpCluster::ticksNow() const {
 
 void UdpCluster::start() {
   EPTO_ENSURE_MSG(!running_.exchange(true), "cluster already started");
-  stopRequested_ = false;
   // Fault-plan timestamps are relative to start(), not construction.
   epoch_ = std::chrono::steady_clock::now();
   executor_->start();
@@ -254,36 +247,19 @@ void UdpCluster::broadcast(std::size_t index, PayloadPtr payload, QosClass qos) 
   EPTO_ENSURE_MSG(index < nodes_.size(), "node index out of range");
   NodeState& node = *nodes_[index];
   requestedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
-  if (!node.up.load(std::memory_order_acquire)) {
-    discardedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  // Broadcast handoff (DESIGN.md §16): the request joins the pending
+  // list that the node's next round swaps out and stamps. `up` is read
+  // under the lock enterCrash() takes to discard that list after marking
+  // the node down, so a request is refused here, discarded with the list,
+  // or injected by the live incarnation; never by a later one.
+  {
+    const util::MutexLock lock(node.broadcastMutex);
+    if (node.up.load(std::memory_order_acquire)) {
+      node.pendingBroadcasts.push_back(PendingBroadcast{std::move(payload), qos});
+      return;
+    }
   }
-  // Mailbox protocol (DESIGN.md §16): the request crosses into the
-  // owning shard as a command; the shard appends it to the pending list
-  // between loop iterations. The node may have crashed since the check
-  // above, so the command re-checks on the shard, which owns `up`: a
-  // request reaching a down node is settled as discarded, never left for
-  // a later incarnation to inject. pendingBroadcasts stays mutex-guarded
-  // so the annotation (and the inline fallback below) remain sound.
-  ShardedExecutor::Command command(
-      [this, &node, payloadHeld = std::move(payload), qos]() mutable {
-        if (!node.up.load(std::memory_order_relaxed)) {
-          discardedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-        const util::MutexLock lock(node.broadcastMutex);
-        node.pendingBroadcasts.push_back(PendingBroadcast{std::move(payloadHeld), qos});
-      });
-  while (running_.load(std::memory_order_acquire)) {
-    if (executor_->post(index, std::move(command))) return;
-    // Full mailbox: the shard drains it after every wait, so this clears
-    // once the shard next wakes (a due round slot or an arriving
-    // datagram, kMaxShardWait at most).
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  // No shard is consuming (cluster not started, or stopping): run the
-  // command inline — still safe, the list is mutex-guarded.
-  command();
+  discardedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool UdpCluster::nodeDown(std::size_t index) const {
@@ -312,6 +288,8 @@ void UdpCluster::enterCrash(NodeState& node) {
   node.reassembler.clear();
   node.ingress.clear();
   node.up.store(false, std::memory_order_release);
+  // broadcast() reads `up` under this lock, so a request either lands in
+  // the list swapped out below or, once the swap is done, is refused.
   std::vector<PendingBroadcast> discarded;
   {
     const util::MutexLock lock(node.broadcastMutex);
@@ -530,11 +508,6 @@ void UdpCluster::publishTransportMetrics() {
   }
   registry_.counter("epto_flight_dropped_total")
       .set(obs::FlightRecorder::global().dropped());
-  for (std::size_t shard = 0; shard < executor_->shardCount(); ++shard) {
-    registry_.gauge("epto_shard_queue_depth", {{"shard", std::to_string(shard)}})
-        .set(static_cast<std::int64_t>(executor_->mailboxDepth(shard)));
-  }
-  registry_.counter("epto_shard_post_rejections_total").set(executor_->postRejections());
   if (faults_ != nullptr) faults_->recordTo(registry_);
 }
 
@@ -814,7 +787,7 @@ void UdpCluster::shardLoop(ShardedExecutor::ShardContext& ctx) {
   std::vector<pollfd> pollSet;
   std::vector<std::size_t> pollNode;  // pollSet slot -> node index
 
-  while (!stopRequested_.load(std::memory_order_relaxed)) {
+  while (!ctx.stopRequested()) {
     if (faults_ != nullptr) {
       for (std::size_t i = begin; i < end; ++i) {
         NodeState& node = *nodes_[i];
@@ -842,10 +815,6 @@ void UdpCluster::shardLoop(ShardedExecutor::ShardContext& ctx) {
     }
     const timespec wait = toTimespec(ctx.wheel().waitFrom(Clock::now(), kMaxShardWait));
     const int ready = ::ppoll(pollSet.data(), pollSet.size(), &wait, nullptr);
-    // Control plane right after the wait: commands observe node state
-    // quiesced between rounds, never mid-round, and a broadcast posted
-    // while the shard slept makes the round this wakeup fires.
-    ctx.drainMailbox();
     if (ready > 0) {
       for (std::size_t slot = 0; slot < pollSet.size(); ++slot) {
         if ((pollSet[slot].revents & POLLIN) != 0) {
@@ -890,7 +859,7 @@ bool UdpCluster::awaitQuiescence(std::chrono::milliseconds timeout) {
       if (std::chrono::steady_clock::now() >= deadline) {
         quiescenceReport_ = allInjected
                                 ? ledger_.missingReport()
-                                : "broadcast requests still queued at their shards; " +
+                                : "broadcast requests still pending at their nodes; " +
                                       ledger_.missingReport();
         return false;
       }
@@ -906,7 +875,6 @@ std::string UdpCluster::lastQuiescenceReport() const {
 
 void UdpCluster::stop() {
   if (!running_.exchange(false)) return;
-  stopRequested_ = true;
   executor_->stop();
   if (scrape_ != nullptr) scrape_->stop();
 }

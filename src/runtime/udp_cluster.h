@@ -131,8 +131,6 @@ struct UdpClusterOptions {
   // --- execution model (DESIGN.md §16) ---------------------------------
   /// Worker shards; 0 = hardware_concurrency (clamped to nodeCount).
   std::size_t shardCount = 0;
-  /// Capacity of each shard's SPSC command mailbox (broadcast requests).
-  std::size_t mailboxCapacity = 1024;
 };
 
 class UdpCluster {
@@ -145,10 +143,10 @@ class UdpCluster {
 
   void start();
 
-  /// Ask node `index` to broadcast before its next round (thread-safe).
-  /// A request that reaches a crashed node is discarded, never injected.
-  /// Fast-class broadcasts are eligible for speculative delivery (no-op
-  /// unless options.speculation is on).
+  /// Ask node `index` to broadcast at its next round (thread-safe; also
+  /// before start()). A request to a crashed node is discarded, never
+  /// injected. Fast-class broadcasts are eligible for speculative
+  /// delivery (no-op unless options.speculation is on).
   void broadcast(std::size_t index, PayloadPtr payload = {},
                  QosClass qos = QosClass::Safe);
 
@@ -169,11 +167,10 @@ class UdpCluster {
   [[nodiscard]] std::uint32_t ttlUsed() const noexcept { return ttl_; }
   /// Worker shards actually running.
   [[nodiscard]] std::size_t shardCountUsed() const noexcept { return executor_->shardCount(); }
-  /// Broadcast commands refused by a full shard mailbox (each was
-  /// retried until accepted; this counts the backpressure events).
-  [[nodiscard]] std::uint64_t mailboxPostRejections() const noexcept {
-    return executor_->postRejections();
-  }
+  /// Always 0: broadcast() appends to the node's pending list and has
+  /// no bounded mailbox to be refused by. Remains only until a benchmark
+  /// change drops perfbench's `runtime.mailbox_rejections`.
+  [[nodiscard]] std::uint64_t mailboxPostRejections() const noexcept { return 0; }
   /// Datagrams that arrived but failed frame validation.
   [[nodiscard]] std::uint64_t framesRejected() const noexcept {
     return framesRejected_.load();
@@ -276,7 +273,8 @@ class UdpCluster {
   };
 
   /// Every mutable field is owned by the node's shard; the exceptions
-  /// are `up` (read anywhere) and the mutex-guarded pending list.
+  /// are `up` (read anywhere) and the mutex-guarded pending list, which
+  /// broadcast() appends to and the node's round swaps out.
   struct NodeState {
     NodeState(std::size_t receiveBufferBytes, const ReassemblyOptions& reassembly,
               std::size_t ingressCapacity, std::uint32_t watchdogMissedRounds)
@@ -415,8 +413,9 @@ class UdpCluster {
   std::atomic<std::uint64_t> guardFilteredIncarnation_{0};
   std::atomic<std::uint64_t> guardFingerprintRotations_{0};
 
+  /// Set by start(), cleared by stop(). start() writes epoch_ before the
+  /// shards run, so a second start() must fail rather than race them.
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopRequested_{false};
 };
 
 }  // namespace epto::runtime

@@ -12,6 +12,7 @@
 #include "check/schedule.h"
 #include "check/schedule_point.h"
 #include "explore_support.h"
+#include "util/mutex.h"
 
 namespace epto {
 namespace {
@@ -106,6 +107,37 @@ TEST(Explorer, PctModeFindsTheBugDeterministically) {
   auto replay = check::replaySeed(lostUpdate(), first.seed);
   EXPECT_TRUE(replay.failed);
   EXPECT_EQ(replay.schedule, first.schedule);
+}
+
+/// lostUpdate() with writerA's section and writerB's write each under one
+/// util::MutexLock on a shared util::Mutex. Under exploration the real
+/// lock takes its cooperative path (util/mutex.h): writerB contending
+/// while writerA is parked inside the section must be descheduled, not
+/// blocked in std::mutex::lock with the controller waiting on it.
+check::TestFactory lockedUpdate() {
+  return [] {
+    auto x = std::make_shared<int>(0);
+    auto mutex = std::make_shared<util::Mutex>();
+    TestRun run;
+    run.tasks.push_back(ScheduledTask{"writerA", [x, mutex] {
+      const util::MutexLock lock(*mutex);
+      *x = 1;
+      EPTO_SCHEDULE_POINT("between");
+      check::expect(*x == 1, "writerA's value was overwritten mid-section");
+    }});
+    run.tasks.push_back(ScheduledTask{"writerB", [x, mutex] {
+      const util::MutexLock lock(*mutex);
+      *x = 2;
+    }});
+    return run;
+  };
+}
+
+TEST(Explorer, RealMutexClosesTheLostUpdateUnderExhaustiveSearch) {
+  auto report = test::exploreOrReplay(lockedUpdate());
+  EXPECT_SCHEDULES_CLEAN(report);
+  EXPECT_TRUE(report.exhausted);
+  EXPECT_GT(report.runs, 1U);
 }
 
 TEST(Explorer, VerifyRejectionFailsTheSchedule) {

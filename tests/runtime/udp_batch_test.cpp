@@ -228,11 +228,9 @@ TEST(UdpShardedCluster, BatchHistogramsAreObserved) {
   ASSERT_TRUE(cluster.awaitQuiescence(30s)) << cluster.lastQuiescenceReport();
   cluster.stop();
   const std::string text = cluster.prometheusSnapshot();
-  // The batched-I/O instruments and shard gauges are exported.
+  // The batched-I/O instruments are exported.
   EXPECT_NE(text.find("epto_udp_recv_batch_size_count"), std::string::npos);
   EXPECT_NE(text.find("epto_udp_send_batch_size_count"), std::string::npos);
-  EXPECT_NE(text.find("epto_shard_queue_depth{shard=\"0\"}"), std::string::npos);
-  EXPECT_NE(text.find("epto_shard_post_rejections_total"), std::string::npos);
   // Every ball this run sent went through the send aggregator.
   EXPECT_EQ(text.find("epto_udp_send_batch_size_count 0\n"), std::string::npos);
 }
@@ -263,19 +261,23 @@ TEST(UdpShardedCluster, IdleShardsSleepUntilTheirNextRound) {
       << cpuSeconds << " s of process CPU over " << wallSeconds << " s";
 }
 
-TEST(UdpShardedCluster, BroadcastSurvivesAFullMailbox) {
+// A burst far faster than the rounds piles up in each node's pending
+// list; every request is still stamped, and so are requests made before
+// start(), which wait for the node's first round.
+TEST(UdpShardedCluster, BroadcastBurstAllDelivers) {
   UdpClusterOptions options;
   options.nodeCount = 2;
   options.roundPeriod = 3ms;
   options.seed = 77;
-  options.mailboxCapacity = 1;  // every burst overflows
   UdpCluster cluster(options);
+  cluster.broadcast(0);
+  cluster.broadcast(1);
   cluster.start();
   for (int i = 0; i < 50; ++i) cluster.broadcast(static_cast<std::size_t>(i % 2));
   ASSERT_TRUE(cluster.awaitQuiescence(60s)) << cluster.lastQuiescenceReport();
   cluster.stop();
   const auto report = cluster.report();
-  EXPECT_EQ(report.deliveries, 100u);
+  EXPECT_EQ(report.deliveries, 104u);
   EXPECT_TRUE(report.allPropertiesHold());
 }
 

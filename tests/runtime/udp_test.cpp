@@ -780,11 +780,6 @@ TEST(UdpCluster, RejectsBadOptions) {
     options.sendBackoff.initialDelay = std::chrono::microseconds{-1};
     EXPECT_THROW(UdpCluster{options}, util::ContractViolation);
   }
-  {
-    UdpClusterOptions options;
-    options.mailboxCapacity = 0;
-    EXPECT_THROW(UdpCluster{options}, util::ContractViolation);
-  }
 }
 
 }  // namespace

@@ -60,9 +60,10 @@ shard-affinity-write
                  the shard loop that owns the node (allowlisted:
                  udp_cluster.cpp). Under the sharded executor (DESIGN.md
                  §16) these structures are single-writer by shard
-                 affinity and intentionally unlocked; cross-shard work
-                 must be posted as a Command to the owning shard's
-                 mailbox. Reads via named accessors (stats(),
+                 affinity and intentionally unlocked; another thread
+                 hands work over the way broadcast() does, through a
+                 mutex-guarded list the owning shard's round swaps out
+                 (pendingBroadcasts). Reads via named accessors (stats(),
                  highWater(), disseminationStats(), ...) are free. A new
                  direct write site is a data race TSan can only catch if
                  the interleaving happens to fire.
@@ -155,7 +156,8 @@ RULES: tuple[Rule, ...] = (
             r"(?:push|pop|clear|accept|evictExpired)\s*\("
         ),
         "per-node runtime state mutated outside the owning executor loop — "
-        "post a Command to the node's shard mailbox instead (DESIGN.md §16)",
+        "hand the work over through a mutex-guarded list the node's round "
+        "swaps out, as broadcast() does (DESIGN.md §16)",
     ),
 )
 
