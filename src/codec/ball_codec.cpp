@@ -133,9 +133,14 @@ DecodeResult decodeBall(std::span<const std::byte> frame) {
 
   const auto count = reader.readVarint();
   if (!count.has_value()) return fail(DecodeError::BadVarint);
-  // A non-empty event costs at least 5 body bytes; reject counts that a
-  // frame of this size cannot possibly hold before allocating.
-  if (*count > reader.remaining()) return fail(DecodeError::LengthOverflow);
+  // An event costs at least 5 body bytes (source, sequence, ts, ttl and
+  // payload length, one varint byte each), plus 3 for the lineage block
+  // and 1 for the qos byte; reject counts that a frame of this size
+  // cannot possibly hold before allocating.
+  const std::size_t minEventBytes = std::size_t{5} + (lineage ? 3U : 0U) + (qos ? 1U : 0U);
+  if (*count > reader.remaining() / minEventBytes) {
+    return fail(DecodeError::LengthOverflow);
+  }
 
   DecodeResult result;
   result.ball.reserve(static_cast<std::size_t>(*count));

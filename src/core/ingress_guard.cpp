@@ -1,5 +1,7 @@
 #include "core/ingress_guard.h"
 
+#include <cstring>
+
 #include "util/ensure.h"
 #include "util/rng.h"
 
@@ -19,14 +21,19 @@ const char* ingressCauseLabel(IngressCause cause) noexcept {
 }
 
 std::uint64_t payloadDigest(const PayloadPtr& payload) noexcept {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;  // FNV-1a offset basis.
-  if (payload) {
-    for (const std::byte b : *payload) {
-      hash ^= static_cast<std::uint64_t>(b);
-      hash *= 0x100000001B3ULL;  // FNV prime.
-    }
+  constexpr std::uint64_t kPrime = 0x100000001B3ULL;  // FNV prime.
+  std::uint64_t hash = 0xCBF29CE484222325ULL;         // FNV offset basis.
+  const std::size_t size = payload ? payload->size() : 0;
+  const std::byte* p = payload ? payload->data() : nullptr;
+  std::size_t n = size;
+  for (; n >= 8; n -= 8, p += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, sizeof word);
+    hash = (hash ^ word) * kPrime;
   }
-  return hash;
+  for (; n > 0; --n, ++p) hash = (hash ^ static_cast<std::uint64_t>(*p)) * kPrime;
+  hash = (hash ^ size) * kPrime;
+  return util::mix64(hash);
 }
 
 IngressGuard::IngressGuard(IngressGuardOptions options) : options_(options) {

@@ -157,10 +157,15 @@ class IngressGuard {
   std::unordered_map<std::uint64_t, std::uint32_t> ballsThisRound_;
 };
 
-/// FNV-1a over the payload bytes; the cheap content digest used by the
-/// equivocation fingerprint (not collision-resistant against an adaptive
-/// attacker — acceptable, a collision only suppresses detection of one
-/// equivocation pair, it cannot forge a rejection of honest traffic).
+/// FNV over the payload in 64-bit little-endian words, then the tail
+/// bytes and the length, finished with util::mix64; the cheap content
+/// digest used by the equivocation fingerprint. Null and empty payloads
+/// digest equal. Each step is a bijection of the state, so payloads of
+/// equal length that differ in one word or one tail byte always digest
+/// differently. It is in-memory only (never sent or stored) and not
+/// collision-resistant against an adaptive attacker — acceptable, a
+/// collision only suppresses detection of one equivocation pair, it
+/// cannot forge a rejection of honest traffic.
 [[nodiscard]] std::uint64_t payloadDigest(const PayloadPtr& payload) noexcept;
 
 /// Publish guard verdicts (this guard's, or an aggregate across guards)

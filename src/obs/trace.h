@@ -42,7 +42,9 @@ enum class TraceType : std::uint8_t {
   Drop,               ///< event discarded; detail = DropReason.
   Fault,              ///< injected fault enforced; detail = fault::FaultKind.
   FirstSeen,          ///< event entered this node's relay set for the first
-                      ///< time; size = oracle clock, aux = hop count.
+                      ///< time this round (the set is cleared each round, so
+                      ///< a re-relayed event repeats it; readers keep the
+                      ///< earliest); size = oracle clock, aux = hop count.
   BecameDeliverable,  ///< event crossed the stability horizon; ts = clock at
                       ///< the stable round, aux = the stable round.
   Speculate,          ///< §8.4 speculative delivery ahead of the committed

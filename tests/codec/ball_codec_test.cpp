@@ -139,6 +139,47 @@ TEST(BallCodec, LyingEventCountRejectedWithoutHugeAllocation) {
   EXPECT_EQ(decodeBall(frame).error, DecodeError::LengthOverflow);
 }
 
+/// A sealed frame declaring `declared` events whose body after the count
+/// holds one complete payload-free event of the layout `flags` selects,
+/// then `extra` bytes of a second one: too few for the declared count.
+std::vector<std::byte> shortCountFrame(std::uint64_t declared, std::uint8_t flags,
+                                       std::size_t extra) {
+  std::vector<std::byte> frame;
+  frame.push_back(std::byte{0x70});
+  frame.push_back(std::byte{0xE9});
+  frame.push_back(std::byte{flags == 0 ? kVersion : kVersionLineage});
+  if (flags != 0) frame.push_back(static_cast<std::byte>(flags));
+  putVarint(frame, declared);
+  std::size_t eventBytes = 5;
+  if ((flags & kFlagLineage) != 0) eventBytes += 3;
+  if ((flags & kFlagQos) != 0) eventBytes += 1;
+  // One-byte fields: 1 everywhere (a valid qos class too), then an
+  // empty payload; the partial second event repeats the 1s.
+  for (std::size_t i = 0; i + 1 < eventBytes; ++i) putVarint(frame, 1);
+  putVarint(frame, 0);
+  for (std::size_t i = 0; i < extra; ++i) putVarint(frame, 1);
+  const std::uint32_t crc = crc32c(frame);
+  for (int i = 0; i < 4; ++i) {
+    frame.push_back(static_cast<std::byte>((crc >> (8 * i)) & 0xFF));
+  }
+  return frame;
+}
+
+TEST(BallCodec, EventCountBoundedByTheLayoutsMinimumEventSize) {
+  // v1: 2 events declared, 9 body bytes (one 5-byte event plus 4) —
+  // rejected before the reservation, not after parsing one event.
+  EXPECT_EQ(decodeBall(shortCountFrame(2, 0, 4)).error, DecodeError::LengthOverflow);
+  // The lineage block adds 3 bytes per event and the qos byte 1; a bound
+  // that missed either would let these through to fail later.
+  EXPECT_EQ(decodeBall(shortCountFrame(2, kFlagLineage, 7)).error,
+            DecodeError::LengthOverflow);
+  EXPECT_EQ(decodeBall(shortCountFrame(2, kFlagLineage | kFlagQos, 8)).error,
+            DecodeError::LengthOverflow);
+  // One declared event that fits every layout still decodes.
+  EXPECT_TRUE(decodeBall(shortCountFrame(1, 0, 0)).ok());
+  EXPECT_TRUE(decodeBall(shortCountFrame(1, kFlagLineage | kFlagQos, 0)).ok());
+}
+
 TEST(BallCodec, LyingPayloadLengthRejected) {
   std::vector<std::byte> frame;
   frame.push_back(std::byte{0x70});

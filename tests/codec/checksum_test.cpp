@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -36,6 +37,58 @@ TEST(Crc32c, SensitiveToEveryBit) {
     }
   }
   EXPECT_EQ(crc32c(data), reference);  // restored
+}
+
+std::vector<std::byte> patterned(std::size_t size) {
+  std::vector<std::byte> out(size);
+  std::uint32_t state = 0x2545F491U;
+  for (std::byte& b : out) {
+    state = state * 1664525U + 1013904223U;
+    b = static_cast<std::byte>(state >> 24);
+  }
+  return out;
+}
+
+std::vector<std::byte> counting(std::size_t size, bool up) {
+  std::vector<std::byte> out(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    out[i] = static_cast<std::byte>(up ? i : size - 1 - i);
+  }
+  return out;
+}
+
+/// The standard "123456789" check value (a 1-byte tail after one 8-byte
+/// step) and the 32-byte RFC 3720 (iSCSI) vectors (four whole steps).
+void expectPublishedVectors(std::uint32_t (*crc)(std::span<const std::byte>) noexcept) {
+  EXPECT_EQ(crc({}), 0x00000000u);
+  EXPECT_EQ(crc(bytesOf("123456789")), 0xE3069283u);
+  EXPECT_EQ(crc(std::vector<std::byte>(32, std::byte{0})), 0x8A9136AAu);
+  EXPECT_EQ(crc(std::vector<std::byte>(32, std::byte{0xFF})), 0x62A8AB43u);
+  EXPECT_EQ(crc(counting(32, /*up=*/true)), 0x46DD794Eu);
+  EXPECT_EQ(crc(counting(32, /*up=*/false)), 0x113FDB5Cu);
+}
+
+TEST(Crc32c, TablePathGivesThePublishedVectors) {
+  expectPublishedVectors(&detail::crc32cTable);
+}
+
+TEST(Crc32c, HardwarePathGivesThePublishedVectors) {
+  if (!detail::crc32cHardwareAvailable()) GTEST_SKIP() << "CPU lacks SSE4.2";
+  expectPublishedVectors(&detail::crc32cHardware);
+}
+
+TEST(Crc32c, HardwarePathMatchesTheTableAtEveryLengthAndOffset) {
+  if (!detail::crc32cHardwareAvailable()) GTEST_SKIP() << "CPU lacks SSE4.2";
+  // Every tail length and every start alignment of the 8-byte loads,
+  // past udp_bulk's ~1 KB frames and the default 1,400 B datagram.
+  const std::vector<std::byte> data = patterned(2048 + 7);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 2048; ++length) {
+      const std::span<const std::byte> slice(data.data() + offset, length);
+      ASSERT_EQ(detail::crc32cHardware(slice), detail::crc32cTable(slice))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 TEST(Crc32c, Deterministic) {

@@ -200,6 +200,51 @@ TEST(IngressGuard, PayloadDigestIsNullSafeAndContentSensitive) {
   EXPECT_EQ(payloadDigest(payloadOf("same")), payloadDigest(payloadOf("same")));
 }
 
+PayloadPtr patternedPayload(std::size_t size) {
+  PayloadBytes bytes(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<std::byte>((i * 37 + 11) & 0xFFU);
+  }
+  return std::make_shared<const PayloadBytes>(std::move(bytes));
+}
+
+TEST(IngressGuard, PayloadDigestSeesEveryBitFlipInWordsAndTail) {
+  // 256 B is udp_bulk's payload (whole words only); 13 B ends in a
+  // 5-byte tail folded bytewise.
+  for (const std::size_t size : {std::size_t{256}, std::size_t{13}}) {
+    const PayloadPtr original = patternedPayload(size);
+    const std::uint64_t reference = payloadDigest(original);
+    for (std::size_t i = 0; i < size; ++i) {
+      for (unsigned bit = 0; bit < 8; ++bit) {
+        PayloadBytes flipped = *original;
+        flipped[i] ^= static_cast<std::byte>(1U << bit);
+        EXPECT_NE(payloadDigest(std::make_shared<const PayloadBytes>(std::move(flipped))),
+                  reference)
+            << "size " << size << " byte " << i << " bit " << bit;
+      }
+    }
+  }
+}
+
+TEST(IngressGuard, PayloadDigestIsAPureFunctionOfTheBytes) {
+  for (std::size_t size = 1; size <= 40; ++size) {
+    const PayloadPtr a = patternedPayload(size);
+    const PayloadPtr b = std::make_shared<const PayloadBytes>(*a);
+    ASSERT_NE(a->data(), b->data());
+    EXPECT_EQ(payloadDigest(a), payloadDigest(b)) << "size " << size;
+  }
+  // The length is folded in: zero-filled payloads of different lengths
+  // differ, and only the empty one matches null.
+  std::vector<std::uint64_t> zeroDigests;
+  for (std::size_t size = 0; size <= 40; ++size) {
+    const std::uint64_t digest =
+        payloadDigest(std::make_shared<const PayloadBytes>(size, std::byte{0}));
+    for (const std::uint64_t earlier : zeroDigests) EXPECT_NE(digest, earlier) << size;
+    zeroDigests.push_back(digest);
+  }
+  EXPECT_EQ(zeroDigests.front(), payloadDigest(nullptr));
+}
+
 TEST(IngressGuard, PublishesLabeledRejectionCounters) {
   IngressGuard guard({.maxTtl = 4, .maxBallsPerSenderPerRound = 1});
   (void)guard.inspect(1, Ball{makeEvent(1, 0, 10, 3, 4)});  // lineage
