@@ -1,7 +1,7 @@
 // A real multi-threaded EpTO cluster (§8.5) — no simulator.
 //
 // Ten nodes exchange balls as UDP datagrams over loopback sockets, with
-// steady-clock rounds driven by the sharded executor's worker threads. A
+// steady-clock rounds driven by the cluster's shard threads. A
 // whole-run fault plan drops 5% of datagrams at the sender. Application
 // threads fire broadcasts concurrently; the run ends with the Table 1
 // verdict and the delivery delays.

@@ -41,7 +41,8 @@ Event makeEvent(std::uint32_t source, std::uint32_t sequence) {
   event.incarnation = 1;
   event.qos = epto::QosClass::Safe;
   event.payload = std::make_shared<const epto::PayloadBytes>(
-      epto::PayloadBytes{std::byte{0xAB}, std::byte{0xCD}, std::byte{sequence & 0xFFU}});
+      epto::PayloadBytes{std::byte{0xAB}, std::byte{0xCD},
+                         static_cast<std::byte>(sequence & 0xFFU)});
   return event;
 }
 

@@ -109,8 +109,8 @@ struct ExploreReport {
 /// report. Outside exploration it degrades to EPTO_ENSURE.
 void expect(bool condition, const char* message);
 
-/// Cooperative mutex for test harness code (e.g. serializing the
-/// TimerWheel's two callers the way their shard's thread does).
+/// Cooperative mutex for test harness code (e.g. serializing a
+/// model's tasks the way one owning thread would).
 /// Acquisition is a schedule point; a contended lock deschedules the
 /// task until the holder releases. Only usable inside explorer task
 /// bodies.

@@ -1,8 +1,8 @@
 // SchedulePoint — the instrumentation hook the schedule explorer drives.
 //
 // TSan only sees the interleavings the OS happens to schedule; the
-// concurrent surface (timer wheels, the seqlock flight recorder, and
-// util::Mutex's cooperative lock) deserves better than luck. Concurrency
+// concurrent surface (the seqlock flight recorder and util::Mutex's
+// cooperative lock) deserves better than luck. Concurrency
 // decision points in those components call EPTO_SCHEDULE_POINT("label"):
 //
 //   * in a normal process the hook is one thread_local load and a
@@ -17,9 +17,9 @@
 // step could legally be observed. Everything between two consecutive
 // points executes atomically under exploration, so lock-free code wants
 // a point between every pair of synchronizing atomic accesses, while a
-// single-threaded component (TimerWheel) wants points only at operation
-// entry — interleaving *within* an op would model schedules the real
-// system cannot produce.
+// single-threaded component wants points only at operation entry —
+// interleaving *within* an op would model schedules the real system
+// cannot produce.
 #pragma once
 
 #if defined(EPTO_SCHEDCHECK_ENABLED)

@@ -51,9 +51,12 @@ struct MetricsSnapshot {
   SpeculationChannel::Stats speculation;
 
   /// Publish into a registry under `epto_*` instruments labelled
-  /// node="<id>". Counters mirror via Counter::set (monotonic per node),
-  /// so repeated calls from the owning thread are race-free against a
-  /// concurrent scrape. See README "Observability" for the name list.
+  /// node="<id>". Counters mirror via Counter::set, so repeated calls
+  /// from the owning thread are race-free against a concurrent scrape.
+  /// They are monotonic per incarnation: a restarted node publishes its
+  /// fresh Process's stats, and its counters read as a reset (which
+  /// Prometheus' rate() and increase() handle). See README
+  /// "Observability" for the name list.
   void recordTo(obs::Registry& registry) const;
 };
 

@@ -37,7 +37,10 @@ enum class Kind : std::uint8_t { Counter, Gauge, Histogram };
 /// Monotonically increasing count. set() exists for the mirror pattern:
 /// a shard thread that already maintains plain uint64 stats (the sans-io
 /// core's OrderingStats/DisseminationStats) publishes them by storing the
-/// current value once per round — still monotonic, still race-free.
+/// current value once per round — race-free, and monotonic per
+/// incarnation of the mirrored source. A restarted node's fresh stats
+/// start at 0, so its mirror reads as a counter reset, which
+/// Prometheus' rate() and increase() already handle.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {

@@ -1,105 +1,87 @@
-// ShardedExecutor — a fixed pool of worker shards, each owning a
-// contiguous slice of protocol nodes.
+// The shard loop's arithmetic — how UdpCluster splits its nodes across
+// shard threads and when each shard wakes (DESIGN.md §16).
 //
 // A thread per node stops scaling long before the protocol does: at
 // hundreds of nodes the machine spends its time context-switching
 // between threads that each wake for one datagram, run a few
-// microseconds of protocol, and sleep again. This executor inverts the
-// shape — `shardCount` long-lived workers (default: one per hardware
-// thread) each drive *many* nodes, so node state stays hot in one
-// core's cache and the per-node cost collapses to a timer-wheel entry
-// plus a pollfd slot.
+// microseconds of protocol, and sleep again. So UdpCluster runs a few
+// long-lived shard threads (default: one per hardware thread), each
+// driving a contiguous slice of nodes; a node costs its shard one round
+// deadline (NodeState::nextRound) and one pollfd slot.
 //
-// Ownership model (DESIGN.md §16): every node belongs to exactly one
-// shard for the executor's lifetime, and ALL access to a node's
-// mutable state happens on its owning shard's thread ("owning-shard
-// only"). The executor offers no door into a shard: state another
-// thread must hand over (a broadcast request) sits behind the host's
-// own leaf lock, which the node's round takes to swap it out.
+// An EpTO process acts on two triggers only: a ball arriving, and its
+// own round every δ. A shard therefore sleeps in ppoll() until a socket
+// is readable or the earliest of its nodes' deadlines comes due. Time is
+// cut into slots of ShardedExecutorOptions::wheelGranularity: a round is
+// due once the clock reaches the start of the slot its deadline falls
+// in, so rounds due within one slot run on one wakeup. perfbench's
+// replay reads the same field to batch its rounds the same way.
 //
-// The executor owns the mechanism (threads, per-shard timer wheels,
-// stop protocol); the host supplies the policy as a ShardBody — the
-// actual poll/ingest/round loop. UdpCluster is the host here; the body
-// contract is to check ctx.stopRequested() at least once per bounded
-// amount of work and to return when it is set.
+// Apart from reading the hardware thread count, everything here is pure
+// and deterministic given the time points fed in, so it is unit-testable
+// without threads or sleeping.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
+#include <chrono>
 #include <cstddef>
-#include <functional>
-#include <memory>
+#include <span>
 #include <thread>
 #include <utility>
-#include <vector>
-
-#include "runtime/timer_wheel.h"
 
 namespace epto::runtime {
 
+/// The struct and field names outlive the executor and its timer wheel:
+/// perfbench/src/replay.cpp reads ShardedExecutorOptions{}.wheelGranularity,
+/// and the benchmark's sources change only with the benchmark.
 struct ShardedExecutorOptions {
-  /// Nodes to partition across shards (contiguous slices, sizes within
-  /// one of each other). Must be positive.
-  std::size_t nodeCount = 0;
-  /// Worker shards; 0 means hardware_concurrency (min 1). Clamped to
-  /// nodeCount — a shard with no nodes would be a parked thread.
-  std::size_t shardCount = 0;
-  /// Timer-wheel slot width and count (one lap = granularity * slots).
+  /// Round slot width: a round runs at the start of the slot its
+  /// deadline falls in, together with every other round due in it.
   std::chrono::microseconds wheelGranularity{1000};
-  std::size_t wheelSlots = 512;
 };
 
-class ShardedExecutor {
- public:
-  /// The slice of executor state one shard's body may touch. Only ever
-  /// handed to the owning shard's thread.
-  class ShardContext {
-   public:
-    [[nodiscard]] std::size_t shardIndex() const noexcept { return index_; }
-    /// Owned node range [nodeBegin, nodeEnd).
-    [[nodiscard]] std::size_t nodeBegin() const noexcept { return begin_; }
-    [[nodiscard]] std::size_t nodeEnd() const noexcept { return end_; }
-    [[nodiscard]] TimerWheel& wheel() noexcept { return *wheel_; }
+using ShardClock = std::chrono::steady_clock;
 
-    [[nodiscard]] bool stopRequested() const noexcept {
-      return owner_->stopRequested_.load(std::memory_order_acquire);
-    }
+/// Shard threads for `nodeCount` nodes: `requested`, or one per hardware
+/// thread when it is 0, clamped to nodeCount (a shard with no nodes
+/// would be a parked thread).
+[[nodiscard]] inline std::size_t shardCountFor(std::size_t requested, std::size_t nodeCount) {
+  const std::size_t wanted =
+      requested != 0 ? requested : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return std::min(wanted, nodeCount);
+}
 
-   private:
-    friend class ShardedExecutor;
-    ShardedExecutor* owner_ = nullptr;
-    std::size_t index_ = 0;
-    std::size_t begin_ = 0;
-    std::size_t end_ = 0;
-    std::unique_ptr<TimerWheel> wheel_;
-  };
+/// Node range [first, second) shard `shard` of `shards` owns: contiguous
+/// slices in shard order, sizes within one, the first shards the larger.
+[[nodiscard]] inline std::pair<std::size_t, std::size_t> shardSlice(std::size_t shard,
+                                                                    std::size_t shards,
+                                                                    std::size_t nodeCount) {
+  const std::size_t base = nodeCount / shards;
+  const std::size_t extra = nodeCount % shards;
+  const std::size_t begin = shard * base + std::min(shard, extra);
+  return {begin, begin + base + (shard < extra ? 1 : 0)};
+}
 
-  using ShardBody = std::function<void(ShardContext&)>;
+/// Start of the slot `deadline` falls in, with slots counted from the
+/// clock's own epoch. The round is due once the clock reaches it.
+[[nodiscard]] inline ShardClock::time_point slotStart(ShardClock::time_point deadline,
+                                                      ShardClock::duration slot) {
+  const ShardClock::duration since = deadline.time_since_epoch();
+  return ShardClock::time_point(since - since % slot);
+}
 
-  ShardedExecutor(ShardedExecutorOptions options, ShardBody body);
-  ~ShardedExecutor();
-
-  ShardedExecutor(const ShardedExecutor&) = delete;
-  ShardedExecutor& operator=(const ShardedExecutor&) = delete;
-
-  /// Launch one thread per shard, each running the body once.
-  void start();
-  /// Request stop and join every shard. Idempotent.
-  void stop();
-
-  [[nodiscard]] std::size_t shardCount() const noexcept { return shards_.size(); }
-  /// Node range [first, second) owned by `shard`.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> nodeRange(std::size_t shard) const;
-
- private:
-  struct Shard {
-    ShardContext context;
-    std::thread thread;
-  };
-
-  ShardBody body_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopRequested_{false};
-};
+/// How long a shard may block before a round is due, at full clock
+/// resolution: the time to the start of the earliest deadline's slot, 0
+/// once that instant has passed, and at most `cap` (also when there is
+/// no deadline at all).
+[[nodiscard]] inline ShardClock::duration shardWait(
+    ShardClock::time_point now, std::span<const ShardClock::time_point> deadlines,
+    ShardClock::duration slot, ShardClock::duration cap) {
+  if (deadlines.empty()) return cap;
+  const ShardClock::time_point due =
+      slotStart(*std::min_element(deadlines.begin(), deadlines.end()), slot);
+  if (due <= now) return ShardClock::duration::zero();
+  return std::min(due - now, cap);
+}
 
 }  // namespace epto::runtime

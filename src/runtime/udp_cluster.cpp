@@ -63,6 +63,8 @@ constexpr std::size_t kMaxDatagramsPerPoll = 512;
 /// Longest a shard sleeps in one wait, which bounds how late it sees a
 /// stop request.
 constexpr std::chrono::milliseconds kMaxShardWait{50};
+/// Round slot width, shared with perfbench's replay of the schedule.
+constexpr std::chrono::microseconds kRoundSlot = ShardedExecutorOptions{}.wheelGranularity;
 
 timespec toTimespec(std::chrono::nanoseconds wait) {
   const auto whole = std::chrono::duration_cast<std::chrono::seconds>(wait);
@@ -155,12 +157,6 @@ UdpCluster::UdpCluster(UdpClusterOptions options)
   // drop it as out of order.
   (void)obs::FlightRecorder::global();
 
-  ShardedExecutorOptions exec;
-  exec.nodeCount = options_.nodeCount;
-  exec.shardCount = options_.shardCount;
-  executor_ = std::make_unique<ShardedExecutor>(
-      exec, [this](ShardedExecutor::ShardContext& ctx) { shardLoop(ctx); });
-
   auto scrapeInterval = options_.scrapeInterval;
   if (scrapeInterval.count() == 0 && !options_.metricsOutPath.empty()) {
     scrapeInterval = std::chrono::milliseconds(100);
@@ -239,7 +235,11 @@ void UdpCluster::start() {
   EPTO_ENSURE_MSG(!running_.exchange(true), "cluster already started");
   // Fault-plan timestamps are relative to start(), not construction.
   epoch_ = std::chrono::steady_clock::now();
-  executor_->start();
+  const std::size_t shards = shardCountUsed();
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    const auto slice = shardSlice(shard, shards, nodes_.size());
+    shards_.emplace_back([this, slice] { shardLoop(slice.first, slice.second); });
+  }
   if (scrape_ != nullptr) scrape_->start();
 }
 
@@ -713,14 +713,8 @@ void UdpCluster::batchIngest(NodeState& node, std::vector<UdpSocket::Datagram>& 
   }
 }
 
-void UdpCluster::serviceDueNode(std::size_t index, ShardedExecutor::ShardContext& ctx,
-                                BatchSink& sink) {
+void UdpCluster::serviceDueNode(NodeState& node, BatchSink& sink) {
   using Clock = std::chrono::steady_clock;
-  NodeState& node = *nodes_[index];
-  const auto reschedule = [&](Clock::time_point at) {
-    node.nextRound = at;
-    ctx.wheel().schedule(static_cast<std::uint32_t>(index), at);
-  };
   // One timestamp for the whole round: a round that passed the crash
   // gate below must not see its own node crashed when it asks for link
   // fates, or it would record broadcasts no copy of which ever leaves.
@@ -729,12 +723,12 @@ void UdpCluster::serviceDueNode(std::size_t index, ShardedExecutor::ShardContext
     if (faults_->isCrashed(node.id, now)) {
       if (node.up.load(std::memory_order_relaxed)) enterCrash(node);
       // Re-check every millisecond.
-      reschedule(Clock::now() + std::chrono::milliseconds(1));
+      node.nextRound = Clock::now() + std::chrono::milliseconds(1);
       return;
     }
     if (!node.up.load(std::memory_order_relaxed)) {
       leaveCrash(node);
-      reschedule(Clock::now() + jitteredPeriod(node.rng));
+      node.nextRound = Clock::now() + jitteredPeriod(node.rng);
       return;
     }
     if (faults_->isStalled(node.id, now)) {
@@ -744,50 +738,47 @@ void UdpCluster::serviceDueNode(std::size_t index, ShardedExecutor::ShardContext
         node.stallNoted = true;
         faults_->noteStall(node.id, now);
       }
-      reschedule(Clock::now() + std::chrono::milliseconds(1));
+      node.nextRound = Clock::now() + std::chrono::milliseconds(1);
       return;
     }
     if (node.stallNoted) {
       // Stall just ended: re-anchor one period out before the next
       // round, so the catch-up starts with a full receive window.
       node.stallNoted = false;
-      reschedule(Clock::now() + jitteredPeriod(node.rng));
+      node.nextRound = Clock::now() + jitteredPeriod(node.rng);
       return;
     }
   }
   const auto lateness = Clock::now() - node.nextRound;
   const bool recovered = runNodeRound(node, now, lateness, sink);
-  reschedule(recovered ? Clock::now() + jitteredPeriod(node.rng)
-                       : node.nextRound + jitteredPeriod(node.rng));
+  node.nextRound = recovered ? Clock::now() + jitteredPeriod(node.rng)
+                             : node.nextRound + jitteredPeriod(node.rng);
 }
 
-void UdpCluster::shardLoop(ShardedExecutor::ShardContext& ctx) {
+void UdpCluster::shardLoop(std::size_t begin, std::size_t end) {
   using Clock = std::chrono::steady_clock;
-  const std::size_t begin = ctx.nodeBegin();
-  const std::size_t end = ctx.nodeEnd();
   for (std::size_t i = begin; i < end; ++i) {
     NodeState& node = *nodes_[i];
     node.rng = util::Rng(util::mix64(options_.seed ^ 0xDA7A6A4Dull) ^ node.id);
     node.stallNoted = false;
     // Phase-stagger first rounds across the cluster (node i at phase
-    // i/n of a period). A shared wheel does not desynchronize nodes on
-    // its own, and perfectly synchronized rounds make every node's send
+    // i/n of a period). Shared slots do not desynchronize nodes on their
+    // own, and perfectly synchronized rounds make every node's send
     // burst land in every ingress queue at once — under a tight ingress
     // bound the oldest-first shed then cuts the SAME sender's ball
     // everywhere, which is exactly the correlated loss EpTO's
     // redundancy cannot absorb.
     const auto phase = options_.roundPeriod * i / nodes_.size();
     node.nextRound = Clock::now() + jitteredPeriod(node.rng) + phase;
-    ctx.wheel().schedule(static_cast<std::uint32_t>(i), node.nextRound);
   }
 
   BatchSink sink(*this);
   std::vector<UdpSocket::Datagram> scratch;
-  std::vector<std::uint32_t> due;
   std::vector<pollfd> pollSet;
   std::vector<std::size_t> pollNode;  // pollSet slot -> node index
+  std::vector<Clock::time_point> deadlines;
 
-  while (!ctx.stopRequested()) {
+  while (running_.load(std::memory_order_acquire)) {
     if (faults_ != nullptr) {
       for (std::size_t i = begin; i < end; ++i) {
         NodeState& node = *nodes_[i];
@@ -798,14 +789,17 @@ void UdpCluster::shardLoop(ShardedExecutor::ShardContext& ctx) {
     }
 
     // One ppoll() across every live owned socket, blocking until the
-    // wheel's next slot at full clock resolution: a millisecond timeout
-    // would truncate every sub-millisecond remainder to 0 and spin
-    // through the last millisecond before each slot. With every owned
-    // node down or stalled the set is empty and the wait is a plain sleep.
+    // earliest deadline's slot at full clock resolution: a millisecond
+    // timeout would truncate every sub-millisecond remainder to 0 and
+    // spin through the last millisecond before each slot. With every
+    // owned node down or stalled the set is empty and the wait is a plain
+    // sleep; their deadlines still count, as those are their re-checks.
     pollSet.clear();
     pollNode.clear();
+    deadlines.clear();
     for (std::size_t i = begin; i < end; ++i) {
       NodeState& node = *nodes_[i];
+      deadlines.push_back(node.nextRound);
       if (!node.up.load(std::memory_order_relaxed) || node.stallNoted) continue;
       pollfd pfd{};
       pfd.fd = node.socket.nativeHandle();
@@ -813,7 +807,7 @@ void UdpCluster::shardLoop(ShardedExecutor::ShardContext& ctx) {
       pollSet.push_back(pfd);
       pollNode.push_back(i);
     }
-    const timespec wait = toTimespec(ctx.wheel().waitFrom(Clock::now(), kMaxShardWait));
+    const timespec wait = toTimespec(shardWait(Clock::now(), deadlines, kRoundSlot, kMaxShardWait));
     const int ready = ::ppoll(pollSet.data(), pollSet.size(), &wait, nullptr);
     if (ready > 0) {
       for (std::size_t slot = 0; slot < pollSet.size(); ++slot) {
@@ -835,9 +829,13 @@ void UdpCluster::shardLoop(ShardedExecutor::ShardContext& ctx) {
       }
     }
 
-    due.clear();
-    ctx.wheel().expire(Clock::now(), due);
-    for (const std::uint32_t index : due) serviceDueNode(index, ctx, sink);
+    // Run every round whose slot has started, at most one per node per
+    // lap.
+    const auto now = Clock::now();
+    for (std::size_t i = begin; i < end; ++i) {
+      NodeState& node = *nodes_[i];
+      if (slotStart(node.nextRound, kRoundSlot) <= now) serviceDueNode(node, sink);
+    }
   }
   // Sheds/evictions from the final partial rounds still reach the
   // cluster counters.
@@ -875,7 +873,8 @@ std::string UdpCluster::lastQuiescenceReport() const {
 
 void UdpCluster::stop() {
   if (!running_.exchange(false)) return;
-  executor_->stop();
+  for (std::thread& shard : shards_) shard.join();
+  shards_.clear();
   if (scrape_ != nullptr) scrape_->stop();
 }
 

@@ -2,10 +2,10 @@
 //
 // The repository's one real-thread runtime: every node owns a UDP
 // socket; balls are serialized through the wire codec into datagrams;
-// nothing but the OS network stack sits between processes. A fixed
-// ShardedExecutor pool (DESIGN.md §16) drives the nodes — each shard
-// owns a contiguous slice and runs its nodes' receive, ingest and round
-// work on one thread — so the sans-io core again needs no locks.
+// nothing but the OS network stack sits between processes. A fixed set
+// of shard threads (DESIGN.md §16) drives the nodes — each shard owns a
+// contiguous slice and runs its nodes' receive, ingest and round work on
+// one thread — so the sans-io core again needs no locks.
 //
 // Overload hardening (DESIGN.md §10): balls larger than the MTU are
 // fragmented (codec/fragment_codec.h) and reassembled per node with
@@ -28,11 +28,10 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <vector>
-
 #include <string>
-
+#include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "adapt/controller.h"
 #include "core/ingress_guard.h"
@@ -165,8 +164,10 @@ class UdpCluster {
   [[nodiscard]] metrics::TrackerReport report() const EPTO_EXCLUDES(trackerMutex_);
   [[nodiscard]] std::size_t fanoutUsed() const noexcept { return fanout_; }
   [[nodiscard]] std::uint32_t ttlUsed() const noexcept { return ttl_; }
-  /// Worker shards actually running.
-  [[nodiscard]] std::size_t shardCountUsed() const noexcept { return executor_->shardCount(); }
+  /// Shard threads the cluster runs.
+  [[nodiscard]] std::size_t shardCountUsed() const noexcept {
+    return shardCountFor(options_.shardCount, options_.nodeCount);
+  }
   /// Always 0: broadcast() appends to the node's pending list and has
   /// no bounded mailbox to be refused by. Remains only until a benchmark
   /// change drops perfbench's `runtime.mailbox_rejections`.
@@ -184,12 +185,6 @@ class UdpCluster {
   [[nodiscard]] std::uint64_t sendFailures() const noexcept {
     return sendFailuresTransient_.load() + sendFailuresHard_.load();
   }
-  [[nodiscard]] std::uint64_t sendFailuresTransient() const noexcept {
-    return sendFailuresTransient_.load();
-  }
-  [[nodiscard]] std::uint64_t sendFailuresHard() const noexcept {
-    return sendFailuresHard_.load();
-  }
   /// Backoff sleeps taken for transient refusals (whether or not the
   /// retry eventually succeeded).
   [[nodiscard]] std::uint64_t sendRetries() const noexcept { return sendRetries_.load(); }
@@ -200,9 +195,6 @@ class UdpCluster {
   [[nodiscard]] std::uint64_t fragmentsSent() const noexcept {
     return fragmentsSent_.load();
   }
-  [[nodiscard]] std::uint64_t fragmentsReceived() const noexcept {
-    return fragmentsReceived_.load();
-  }
   /// Frames fully reassembled from fragments.
   [[nodiscard]] std::uint64_t ballsReassembled() const noexcept {
     return ballsReassembled_.load();
@@ -210,10 +202,6 @@ class UdpCluster {
   /// Partial frames evicted after sitting idle for the reassembly TTL.
   [[nodiscard]] std::uint64_t reassemblyExpired() const noexcept {
     return reassemblyExpired_.load();
-  }
-  /// Partial frames displaced by the reassembly capacity bound.
-  [[nodiscard]] std::uint64_t reassemblyShed() const noexcept {
-    return reassemblyShed_.load();
   }
   /// Balls shed oldest-first by a full ingress queue.
   [[nodiscard]] std::uint64_t ingressShed() const noexcept { return ingressShed_.load(); }
@@ -304,6 +292,9 @@ class UdpCluster {
     std::uint64_t roundCounter = 0;
     std::uint32_t fragmentSeq = 0;  ///< ballId low bits.
     util::Rng rng{0};
+    /// The node's one deadline: its next round, or for a down or stalled
+    /// node its next 1 ms re-check. The shard scans these for due rounds
+    /// and for how long it may sleep.
     std::chrono::steady_clock::time_point nextRound{};
     bool stallNoted = false;
     /// Last reassembly/ingress/watchdog figures mirrored into the
@@ -318,13 +309,12 @@ class UdpCluster {
   /// sendmmsg (udp_cluster.cpp).
   class BatchSink;
 
-  /// One shard's whole life: init owned nodes, then poll/ingest/round
-  /// until stop (ShardedExecutor body).
-  void shardLoop(ShardedExecutor::ShardContext& ctx);
-  /// A node's wheel timer fired: fault gates, then the round, then
-  /// re-arm.
-  void serviceDueNode(std::size_t index, ShardedExecutor::ShardContext& ctx,
-                      BatchSink& sink);
+  /// One shard thread's whole life over nodes [begin, end): init their
+  /// schedules, then poll/ingest/round until stop().
+  void shardLoop(std::size_t begin, std::size_t end);
+  /// A node's round is due: fault gates, then the round, then its next
+  /// deadline.
+  void serviceDueNode(NodeState& node, BatchSink& sink);
   /// The round boundary body (broadcasts, onRound, fanout send via
   /// `sink`, controller feedback, metrics, watchdog). `now` is the one
   /// timestamp the round's fault gates, link fates and tracker records
@@ -367,7 +357,6 @@ class UdpCluster {
   std::unique_ptr<fault::FaultController> faults_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
   std::vector<std::uint16_t> ports_;  // ProcessId -> UDP port
-  std::unique_ptr<ShardedExecutor> executor_;
 
   obs::Registry registry_;
   /// Batched-I/O instruments, registered once at construction so hot
@@ -413,9 +402,13 @@ class UdpCluster {
   std::atomic<std::uint64_t> guardFilteredIncarnation_{0};
   std::atomic<std::uint64_t> guardFingerprintRotations_{0};
 
-  /// Set by start(), cleared by stop(). start() writes epoch_ before the
-  /// shards run, so a second start() must fail rather than race them.
+  /// Set by start(), cleared by stop(); the shard loops run while it is
+  /// set. start() writes epoch_ before the shards run, so a second
+  /// start() must fail rather than race them.
   std::atomic<bool> running_{false};
+  /// One thread per shard, running shardLoop() over its slice. Declared
+  /// last: the loops use every member above.
+  std::vector<std::thread> shards_;
 };
 
 }  // namespace epto::runtime

@@ -84,7 +84,7 @@ class UdpSocket {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   /// The OS file descriptor — for callers multiplexing many sockets in
-  /// one ppoll() set (the sharded executor). Ownership stays here.
+  /// one ppoll() set (UdpCluster's shard loops). Ownership stays here.
   [[nodiscard]] int nativeHandle() const noexcept { return fd_; }
 
   /// One transmission attempt to 127.0.0.1:`port`, classified.

@@ -1,5 +1,5 @@
-// Tests of the batched UDP I/O paths (recvmmsg/sendmmsg) and the
-// sharded executor under UdpCluster (DESIGN.md §16): batch receive
+// Tests of the batched UDP I/O paths (recvmmsg/sendmmsg) and of
+// UdpCluster's shard threads (DESIGN.md §16): batch receive
 // semantics, per-message backoff classification in batch sends, and
 // multi-shard clusters over the full protocol.
 #include <gtest/gtest.h>

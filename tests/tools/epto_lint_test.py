@@ -149,7 +149,7 @@ class RuleFixtureTest(unittest.TestCase):
                 "storeMax(highWater_, node.ingress.highWater());\n"
                 "const auto& stats = node.reassembler.stats();\n"
                 "if (node.process == nullptr) return;\n")
-        findings = epto_lint.lint_text("src/runtime/sharded_executor.cpp", code)
+        findings = epto_lint.lint_text("src/runtime/reassembly.cpp", code)
         self.assertNotIn("shard-affinity-write", rule_ids(findings))
 
     def test_shard_affinity_write_owning_loop_suppressed(self):

@@ -58,9 +58,9 @@ shard-affinity-write
                  (onBall/onRound/broadcast/retune, reset, reassignment)
                  and node.ingress / node.reassembler mutators — outside
                  the shard loop that owns the node (allowlisted:
-                 udp_cluster.cpp). Under the sharded executor (DESIGN.md
-                 §16) these structures are single-writer by shard
-                 affinity and intentionally unlocked; another thread
+                 udp_cluster.cpp). Under UdpCluster's shard threads
+                 (DESIGN.md §16) these structures are single-writer by
+                 shard affinity and intentionally unlocked; another thread
                  hands work over the way broadcast() does, through a
                  mutex-guarded list the owning shard's round swaps out
                  (pendingBroadcasts). Reads via named accessors (stats(),
